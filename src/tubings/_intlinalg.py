@@ -1,9 +1,11 @@
 """Exact integer linear algebra: sparse rank, small determinants, GF(2) rank.
 
 Everything here works over Python ints, so there is no overflow and no
-floating point anywhere.  The rank routine is fraction-free Gaussian
-elimination on rows stored as {column: value} dicts; boundary matrices are
-almost entirely +-1 so pivots stay units and entries stay tiny.
+floating point anywhere.  The rank routine reduces rows stored as
+{column: value} dicts one at a time against an echelon table keyed by each
+stored row's largest column; the elimination is fraction-free and divides
+every reduced row by the gcd of its entries, so boundary matrices, which
+are almost entirely +-1, keep tiny entries.
 """
 
 from math import gcd
@@ -12,51 +14,38 @@ from math import gcd
 def rank_int(rows):
     """Rank over the rationals of a sparse integer matrix.
 
-    `rows` is an iterable of {column_key: nonzero int} dicts.  The input
-    dicts are not modified.
+    `rows` is an iterable of {column_key: nonzero int} dicts with mutually
+    comparable keys.  The input dicts are not modified.  Each row is reduced
+    against a table {pivot column: stored row} until its largest column is
+    not a pivot, and then joins the table; the rank is the table's size.
     """
-    work = [dict(r) for r in rows if r]
-    rank = 0
-    while work:
-        # Prefer a unit pivot in a short row; this keeps growth near zero.
-        best = min(
-            range(len(work)),
-            key=lambda i: (
-                0 if any(abs(v) == 1 for v in work[i].values()) else 1,
-                len(work[i]),
-            ),
-        )
-        row = work.pop(best)
-        col, pv = min(
-            row.items(), key=lambda item: (abs(item[1]) != 1, abs(item[1]), item[0])
-        )
-        rank += 1
-        reduced = []
-        for other in work:
-            f = other.get(col)
-            if f is not None:
-                merged = {}
-                for k, v in other.items():
-                    merged[k] = pv * v
-                for k, v in row.items():
-                    newv = merged.get(k, 0) - f * v
-                    if newv:
-                        merged[k] = newv
-                    else:
-                        merged.pop(k, None)
-                if merged:
-                    g = 0
-                    for v in merged.values():
-                        g = gcd(g, v)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        merged = {k: v // g for k, v in merged.items()}
-                    reduced.append(merged)
-            else:
-                reduced.append(other)
-        work = reduced
-    return rank
+    table = {}
+    for row in rows:
+        while row:
+            col = max(row)
+            pivot = table.get(col)
+            if pivot is None:
+                table[col] = row
+                break
+            a, b = pivot[col], row[col]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            merged = dict(row) if a == 1 else {k: a * v for k, v in row.items()}
+            for k, v in pivot.items():
+                newv = merged.get(k, 0) - b * v
+                if newv:
+                    merged[k] = newv
+                else:
+                    del merged[k]
+            g = 0
+            for v in merged.values():
+                g = gcd(g, v)
+                if g == 1:
+                    break
+            if g > 1:
+                merged = {k: v // g for k, v in merged.items()}
+            row = merged
+    return len(table)
 
 
 def det_bareiss(matrix):
@@ -107,12 +96,3 @@ def gf2_rank(rows):
     """Rank over GF(2); rows are ints used as bit vectors."""
     return len(gf2_basis(rows))
 
-
-def gf2_in_span(basis, vector):
-    """Whether `vector` lies in the span of a gf2_basis() result."""
-    while vector:
-        owner = basis.get(vector & -vector)
-        if owner is None:
-            return False
-        vector ^= owner
-    return True

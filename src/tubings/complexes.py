@@ -19,20 +19,27 @@ import os
 from dataclasses import dataclass
 
 from ._intlinalg import rank_int
-from .errors import FaceBudgetExceededError, VertexClashError
+from .errors import FaceBudgetConfigError, FaceBudgetExceededError, VertexClashError
 
 DEFAULT_FACE_BUDGET = 1_000_000
 _BUDGET_ENV = "TUBINGS_FACE_BUDGET"
 
 
 def default_face_budget():
+    """The limit set by TUBINGS_FACE_BUDGET, or DEFAULT_FACE_BUDGET if unset.
+
+    Raises FaceBudgetConfigError unless the variable is a positive integer.
+    """
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
         return DEFAULT_FACE_BUDGET
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        return DEFAULT_FACE_BUDGET
+        limit = 0
+    if limit < 1:
+        raise FaceBudgetConfigError(f"{_BUDGET_ENV}={raw!r} is not a positive integer")
+    return limit
 
 
 class FaceBudget:

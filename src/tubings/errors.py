@@ -67,6 +67,10 @@ class VertexClashError(TubingsError):
     """Join of complexes whose vertex sets overlap."""
 
 
+class FaceBudgetConfigError(TubingsError):
+    """The face budget set in the environment is not a positive integer."""
+
+
 class FaceBudgetExceededError(TubingsError):
     """An enumeration grew past the configured face budget."""
 

@@ -19,17 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._intlinalg import det_bareiss, gf2_rank
-from .complexes import FaceBudget
+from .complexes import FaceBudget, _bits
 from .errors import DisconnectedError, HostMismatchError
 from .graphs import Designation, restricted_ground
 from .tubes import TubeSystem
-
-
-def _bits(mask):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def _require_connected(graph):

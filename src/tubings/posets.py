@@ -17,16 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import FaceBudget, SimplicialComplex
+from .complexes import FaceBudget, SimplicialComplex, _bits
 from .errors import HostMismatchError
 from .tubes import TubeSystem
-
-
-def _bits(mask):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 class FinitePoset:

@@ -9,9 +9,11 @@ from tubings import (
     FaceBudgetExceededError,
     IntPolynomial,
     SimplicialComplex,
+    TubingsError,
     VertexClashError,
     from_betti_suspended,
 )
+from tubings.errors import FaceBudgetConfigError
 
 
 def sphere(n):
@@ -141,6 +143,23 @@ def test_induced_subcomplex():
     sub = k.induced([0, 1])
     assert sub.betti_reduced().is_zero()
     assert sub.n_vertices() == 2
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e6", "", "0", "-5"])
+def test_face_budget_env_must_be_a_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("TUBINGS_FACE_BUDGET", raw)
+    with pytest.raises(FaceBudgetConfigError) as info:
+        FaceBudget()
+    assert isinstance(info.value, TubingsError)
+    assert f"TUBINGS_FACE_BUDGET={raw!r}" in str(info.value)
+    assert FaceBudget(7).limit == 7
+
+
+def test_face_budget_env_sets_the_default(monkeypatch):
+    monkeypatch.setenv("TUBINGS_FACE_BUDGET", "42")
+    assert FaceBudget().limit == 42
+    monkeypatch.delenv("TUBINGS_FACE_BUDGET")
+    assert FaceBudget().limit == 1_000_000
 
 
 def test_face_budget_enforced():

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tubings
 from tubings import (
     Collection,
     GraphDocument,
@@ -226,11 +229,24 @@ def test_cli_budget_exhaustion(graph_file, capsys):
     assert "face budget of 5 exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_cli_malformed_budget_env(graph_file, capsys, monkeypatch, raw):
+    monkeypatch.setenv("TUBINGS_FACE_BUDGET", raw)
+    assert main(["tubes", graph_file]) == 2
+    assert f"TUBINGS_FACE_BUDGET={raw!r}" in capsys.readouterr().err
+    assert main(["tubes", graph_file, "--face-budget", "100"]) == 0
+
+
 def test_cli_module_entry_point(graph_file):
+    # the child interpreter imports the same package as this test run
+    src = str(Path(tubings.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "tubings.cli", "poincare", graph_file],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "equal: yes" in proc.stdout
@@ -240,5 +256,6 @@ def test_cli_module_entry_point(graph_file):
          "--face-budget", "5"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 3
