@@ -23,8 +23,8 @@ from .parity import (
     saturated_odd_complex,
 )
 from .poincare import cross_check, a_polynomial, poincare_brute, poincare_reduced
-from .posets import TubeUnion, order_complex, parity_subgraph_poset
-from .tubes import Tube, TubeSystem, enumerate_tubes
+from .posets import order_complex, parity_subgraph_poset
+from .tubes import TubeSystem, enumerate_tubes
 
 _VARIANTS = {
     "odd": odd_tube_complex,
@@ -87,7 +87,6 @@ def build_parser():
 
     p = sub.add_parser("verify", parents=[common], help="cross-check both routes and the supporting identities")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None, help="face budget for this run")
     p.add_argument(
         "--max-collections",
         type=int,
@@ -117,124 +116,58 @@ def build_parser():
     return parser
 
 
-def _load(ns):
-    return GraphDocument.from_path(ns.graph).graph
+def _cmd_tubes(ns, graph, budget):
+    names = [t.name() for t in enumerate_tubes(graph, budget)]
+    return {"count": len(names), "tubes": names}, [f"tubes: {len(names)}", *names], 0
 
 
-def _vertex_name(vertex, graph):
-    if isinstance(vertex, Tube):
-        return vertex.name()
-    if isinstance(vertex, TubeUnion):
-        return graph.format_members(vertex.members)
-    return str(vertex)
-
-
-def _print_json(payload):
-    print(json.dumps(payload))
-
-
-def _cmd_tubes(ns, limit, as_json, seed):
-    graph = _load(ns)
-    tubes = enumerate_tubes(graph, FaceBudget(limit))
-    names = [t.name() for t in tubes]
-    if as_json:
-        _print_json({"count": len(names), "tubes": names})
-    else:
-        print(f"tubes: {len(names)}")
-        for name in names:
-            print(name)
-    return 0
-
-
-def _cmd_complex(ns, limit, as_json, seed):
-    graph = _load(ns)
-    budget = FaceBudget(limit)
+def _cmd_complex(ns, graph, budget):
     complex_ = TubeSystem(graph, budget).tubing_complex()
-    names = [_vertex_name(v, graph) for v in complex_.vertices]
-    faces = [
-        [_vertex_name(v, graph) for v in face]
-        for face in complex_.maximal_faces(budget)
-    ]
-    if as_json:
-        _print_json({"vertices": names, "maximal_faces": faces})
-    else:
-        print(f"vertices: {len(names)}")
-        for name in names:
-            print(name)
-        print(f"maximal faces: {len(faces)}")
-        for face in faces:
-            print(" ".join(face))
-    return 0
+    names = [t.name() for t in complex_.vertices]
+    faces = [[t.name() for t in face] for face in complex_.maximal_faces(budget)]
+    lines = [f"vertices: {len(names)}", *names, f"maximal faces: {len(faces)}"]
+    lines += [" ".join(face) for face in faces]
+    return {"vertices": names, "maximal_faces": faces}, lines, 0
 
 
-def _cmd_betti(ns, limit, as_json, seed):
-    graph = _load(ns)
-    budget = FaceBudget(limit)
+def _cmd_betti(ns, graph, budget):
     collection = parse_collection(ns.collection, graph)
     complex_ = _VARIANTS[ns.variant](graph, collection, budget=budget)
-    betti = complex_.betti_reduced(budget)
-    shown = graph.format_members(collection.members())
-    if as_json:
-        _print_json(
-            {
-                "collection": shown,
-                "variant": ns.variant,
-                "vertices": complex_.n_vertices(),
-                "betti": betti.to_list(),
-            }
-        )
-    else:
-        print(f"collection: {shown}")
-        print(f"variant: {ns.variant}")
-        print(f"vertices: {complex_.n_vertices()}")
-        print(f"betti: {betti.to_list()}")
-    return 0
+    payload = {
+        "collection": graph.format_members(collection.members()),
+        "variant": ns.variant,
+        "vertices": complex_.n_vertices(),
+        "betti": complex_.betti_reduced(budget).to_list(),
+    }
+    return payload, [f"{key}: {value}" for key, value in payload.items()], 0
 
 
-def _cmd_apoly(ns, limit, as_json, seed):
-    graph = _load(ns)
-    poly = a_polynomial(graph, FaceBudget(limit))
-    if as_json:
-        _print_json({"apoly": poly.to_list()})
-    else:
-        print(str(poly))
-    return 0
+def _cmd_apoly(ns, graph, budget):
+    poly = a_polynomial(graph, budget)
+    return {"apoly": poly.to_list()}, [str(poly)], 0
 
 
-def _cmd_poincare(ns, limit, as_json, seed):
-    graph = _load(ns)
-    budget = FaceBudget(limit)
-    reduced = brute = None
+def _cmd_poincare(ns, graph, budget):
+    polys = {}
     if ns.method in ("reduced", "both"):
-        reduced = poincare_reduced(graph, budget)
+        polys["reduced"] = poincare_reduced(graph, budget)
     if ns.method in ("brute", "both"):
-        brute = poincare_brute(graph, budget)
-    if ns.method == "both":
-        equal = reduced == brute
-        if as_json:
-            _print_json(
-                {"reduced": reduced.to_list(), "brute": brute.to_list(), "equal": equal}
-            )
-        else:
-            print(f"reduced: {reduced}")
-            print(f"brute: {brute}")
-            print(f"equal: {'yes' if equal else 'no'}")
-        return 0 if equal else 1
-    poly = reduced if reduced is not None else brute
-    if as_json:
-        _print_json({ns.method: poly.to_list()})
-    else:
-        print(str(poly))
-    return 0
+        polys["brute"] = poincare_brute(graph, budget)
+    payload = {method: poly.to_list() for method, poly in polys.items()}
+    if ns.method != "both":
+        return payload, [str(polys[ns.method])], 0
+    equal = polys["reduced"] == polys["brute"]
+    payload["equal"] = equal
+    lines = [f"{method}: {poly}" for method, poly in polys.items()]
+    lines.append(f"equal: {'yes' if equal else 'no'}")
+    return payload, lines, 0 if equal else 1
 
 
-def _cmd_verify(ns, limit, as_json, seed):
-    graph = _load(ns)
-    effective = ns.budget if ns.budget is not None else limit
+def _cmd_verify(ns, graph, budget):
     report = cross_check(
         graph,
-        budget=FaceBudget(effective),
-        seed=seed,
+        budget=budget,
+        seed=getattr(ns, "seed", 0),
         max_collections=ns.max_collections,
     )
     failures = [
@@ -247,37 +180,27 @@ def _cmd_verify(ns, limit, as_json, seed):
         }
         for f in report.failures
     ]
-    if as_json:
-        _print_json(
-            {
-                "ok": report.ok,
-                "sampled": report.sampled,
-                "collections": report.collections_checked,
-                "reduced": None
-                if report.poincare_reduced is None
-                else report.poincare_reduced.to_list(),
-                "brute": None
-                if report.poincare_brute is None
-                else report.poincare_brute.to_list(),
-                "failures": failures,
-            }
-        )
-    else:
-        print(f"collections checked: {report.collections_checked}"
-              + (" (sampled)" if report.sampled else ""))
-        if report.poincare_reduced is not None:
-            print(f"reduced: {report.poincare_reduced}")
-            print(f"brute: {report.poincare_brute}")
-        for f in failures:
-            where = f["collection"] if f["collection"] is not None else "-"
-            print(f"FAIL {f['check']} at {where}: {f['detail']}")
-        print(f"ok: {'yes' if report.ok else 'no'}")
-    return 0 if report.ok else 1
+    reduced, brute = report.poincare_reduced, report.poincare_brute
+    payload = {
+        "ok": report.ok,
+        "sampled": report.sampled,
+        "collections": report.collections_checked,
+        "reduced": None if reduced is None else reduced.to_list(),
+        "brute": None if brute is None else brute.to_list(),
+        "failures": failures,
+    }
+    lines = [f"collections checked: {report.collections_checked}"
+             + (" (sampled)" if report.sampled else "")]
+    if reduced is not None:
+        lines += [f"reduced: {reduced}", f"brute: {brute}"]
+    for f in failures:
+        where = f["collection"] if f["collection"] is not None else "-"
+        lines.append(f"FAIL {f['check']} at {where}: {f['detail']}")
+    lines.append(f"ok: {'yes' if report.ok else 'no'}")
+    return payload, lines, 0 if report.ok else 1
 
 
-def _cmd_order_complex(ns, limit, as_json, seed):
-    graph = _load(ns)
-    budget = FaceBudget(limit)
+def _cmd_order_complex(ns, graph, budget):
     collection = parse_collection(ns.collection, graph)
     poset = parity_subgraph_poset(
         graph,
@@ -287,81 +210,61 @@ def _cmd_order_complex(ns, limit, as_json, seed):
         budget=budget,
     )
     complex_ = order_complex(poset)
-    betti = complex_.betti_reduced(budget)
     payload = {
         "collection": graph.format_members(collection.members()),
         "parity": ns.parity,
         "elements": len(poset),
-        "betti": betti.to_list(),
+        "betti": complex_.betti_reduced(budget).to_list(),
     }
+    lines = [f"{key}: {value}" for key, value in payload.items()]
     exit_code = 0
     if ns.shellable:
         report = complex_.shellable(budget=budget)
         payload["shellable"] = report.status
         payload["expansions"] = report.expansions
+        lines.append(f"shellable: {report.status}")
         if report.status == "unknown":
             exit_code = 3
-    if as_json:
-        _print_json(payload)
-    else:
-        print(f"collection: {payload['collection']}")
-        print(f"parity: {ns.parity}")
-        print(f"elements: {payload['elements']}")
-        print(f"betti: {payload['betti']}")
-        if ns.shellable:
-            print(f"shellable: {payload['shellable']}")
-    return exit_code
+    return payload, lines, exit_code
 
 
-def _cmd_delzant(ns, limit, as_json, seed):
-    graph = _load(ns)
-    report = delzant_check(graph, budget=FaceBudget(limit))
+def _cmd_delzant(ns, graph, budget):
+    report = delzant_check(graph, budget=budget)
     failures = [
         {"tubing": list(f.tubing), "reason": f.reason} for f in report.failures
     ]
-    if as_json:
-        _print_json(
-            {
-                "ok": report.ok,
-                "tubings": report.tubings_checked,
-                "size": report.tubing_size,
-                "rank": report.characteristic_rank,
-                "expected": report.expected_rank,
-                "failures": failures,
-            }
-        )
-    else:
-        print(f"tubings: {report.tubings_checked}")
-        print(f"size: {report.tubing_size} (expected {report.expected_rank})")
-        print(f"rank: {report.characteristic_rank} (expected {report.expected_rank})")
-        for f in failures:
-            print(f"FAIL {' '.join(f['tubing']) or '-'}: {f['reason']}")
-        print(f"ok: {'yes' if report.ok else 'no'}")
-    return 0 if report.ok else 1
+    payload = {
+        "ok": report.ok,
+        "tubings": report.tubings_checked,
+        "size": report.tubing_size,
+        "rank": report.characteristic_rank,
+        "expected": report.expected_rank,
+        "failures": failures,
+    }
+    lines = [
+        f"tubings: {report.tubings_checked}",
+        f"size: {report.tubing_size} (expected {report.expected_rank})",
+        f"rank: {report.characteristic_rank} (expected {report.expected_rank})",
+    ]
+    lines += [f"FAIL {' '.join(f['tubing']) or '-'}: {f['reason']}" for f in failures]
+    lines.append(f"ok: {'yes' if report.ok else 'no'}")
+    return payload, lines, 0 if report.ok else 1
 
 
-def _cmd_lessdot(ns, limit, as_json, seed):
-    graph = _load(ns)
+def _cmd_lessdot(ns, graph, budget):
     reductions = enumerate_reductions(graph)
-    if as_json:
-        items = []
-        for h in reductions:
-            items.append(
-                {
-                    "nodes": list(h.nodes),
-                    "edges": [[u, v, lab] for u, v, lab in h.edges],
-                }
-            )
-        _print_json({"count": len(reductions), "reductions": items})
-    else:
-        print(f"reductions: {len(reductions)}")
-        for h in reductions:
-            nodes = ",".join(str(n) for n in h.nodes)
-            edges = " ".join(
-                f"{u}-{v}" + (f":{lab}" if lab else "") for u, v, lab in h.edges
-            )
-            print(f"nodes {nodes}" + (f" edges {edges}" if edges else ""))
-    return 0
+    items = []
+    lines = [f"reductions: {len(reductions)}"]
+    for h in reductions:
+        items.append(
+            {"nodes": list(h.nodes), "edges": [[u, v, lab] for u, v, lab in h.edges]}
+        )
+        nodes = ",".join(str(n) for n in h.nodes)
+        edges = " ".join(
+            f"{u}-{v}" + (f":{lab}" if lab else "") for u, v, lab in h.edges
+        )
+        lines.append(f"nodes {nodes}" + (f" edges {edges}" if edges else ""))
+    return {"count": len(reductions), "reductions": items}, lines, 0
 
 
 _COMMANDS = {
@@ -378,22 +281,19 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    as_json = getattr(ns, "json", False)
-    seed = getattr(ns, "seed", 0)
-    limit = getattr(ns, "face_budget", None)
+    ns = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[ns.command](ns, limit, as_json, seed)
+        graph = GraphDocument.from_path(ns.graph).graph
+        budget = FaceBudget(getattr(ns, "face_budget", None))
+        payload, lines, exit_code = _COMMANDS[ns.command](ns, graph, budget)
     except FaceBudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except TubingsError as exc:
+    except (TubingsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    print(json.dumps(payload) if getattr(ns, "json", False) else "\n".join(lines))
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -45,17 +45,16 @@ def default_face_budget():
 class FaceBudget:
     """Mutable counter limiting how many faces a computation may touch."""
 
-    __slots__ = ("limit", "context", "used")
+    __slots__ = ("limit", "used")
 
-    def __init__(self, limit=None, context=""):
+    def __init__(self, limit=None):
         self.limit = default_face_budget() if limit is None else int(limit)
-        self.context = context
         self.used = 0
 
     def charge(self, n=1):
         self.used += n
         if self.used > self.limit:
-            raise FaceBudgetExceededError(self.limit, self.context)
+            raise FaceBudgetExceededError(self.limit)
 
     @classmethod
     def ensure(cls, budget):
@@ -140,6 +139,47 @@ def _bits(mask):
         mask ^= b
 
 
+def _clique_levels(adj, budget):
+    """Cliques of the graph with adjacency bitmasks ``adj``: a list whose
+    d-th entry is the sorted list of (d+1)-clique masks.  Each clique is
+    charged to the budget once."""
+    level = []
+    for i, common in enumerate(adj):
+        budget.charge()
+        level.append((1 << i, i, common))
+    levels = []
+    while level:
+        levels.append(sorted(m for m, _, _ in level))
+        nxt = []
+        for mask, last, common in level:
+            ext = common & ~((1 << (last + 1)) - 1)
+            while ext:
+                b = ext & -ext
+                j = b.bit_length() - 1
+                ext ^= b
+                budget.charge()
+                nxt.append((mask | b, j, common & adj[j]))
+        level = nxt
+    return levels
+
+
+def _restrict_masks(adj, keep):
+    """Adjacency bitmasks of the subgraph on the indices ``keep``,
+    renumbered in the order given."""
+    new_bit = {1 << k: 1 << i for i, k in enumerate(keep)}
+    keep_mask = sum(new_bit)
+    out = []
+    for k in keep:
+        row = adj[k] & keep_mask
+        m = 0
+        while row:
+            b = row & -row
+            m |= new_bit[b]
+            row ^= b
+        out.append(m)
+    return out
+
+
 class SimplicialComplex:
     """A finite abstract simplicial complex (always containing the empty face)."""
 
@@ -175,7 +215,7 @@ class SimplicialComplex:
         return cls(tuple(vertices), adj=list(masks))
 
     @classmethod
-    def from_maximal(cls, faces, vertices=None, key=None):
+    def from_maximal(cls, faces, vertices=None):
         """Complex generated by the given faces (an empty list gives the
         empty complex, whose only face is the empty set)."""
         faces = [tuple(f) for f in faces]
@@ -191,8 +231,6 @@ class SimplicialComplex:
             if len(order) != len(seen):
                 missing = [v for v in appearing if v not in set(order)]
                 raise VertexClashError(f"faces use vertices not listed: {missing!r}")
-        elif key is not None:
-            order = sorted(seen, key=key)
         else:
             try:
                 order = sorted(seen)
@@ -225,19 +263,6 @@ class SimplicialComplex:
 
     def n_vertices(self):
         return len(self._vertices)
-
-    def has_vertex(self, v):
-        return v in self._index
-
-    def has_edge(self, u, v):
-        i = self._index.get(u)
-        j = self._index.get(v)
-        if i is None or j is None or i == j:
-            return False
-        if self.is_flag:
-            return bool(self._adj[i] >> j & 1)
-        need = (1 << i) | (1 << j)
-        return any(m & need == need for m in self._max)
 
     def __repr__(self):
         kind = "flag" if self.is_flag else "explicit"
@@ -291,39 +316,10 @@ class SimplicialComplex:
         faces.sort(key=lambda f: (len(f), tuple(self._index[v] for v in f)))
         return tuple(faces)
 
-    def dim(self, budget=None):
-        """Dimension of the largest face; -1 for the empty complex."""
-        masks = self.maximal_face_masks(budget)
-        return max(m.bit_count() for m in masks) - 1
-
     def _faces_by_dim(self, budget):
         """List whose d-th entry is the sorted list of d-face masks."""
         if self.is_flag:
-            n = len(self._vertices)
-            adj = self._adj
-            if n == 0:
-                return []
-            levels = []
-            level = []
-            for i in range(n):
-                budget.charge()
-                level.append((1 << i, i, adj[i]))
-            levels.append(sorted(m for m, _, _ in level))
-            while True:
-                nxt = []
-                for mask, last, common in level:
-                    ext = common & ~((1 << (last + 1)) - 1)
-                    while ext:
-                        b = ext & -ext
-                        j = b.bit_length() - 1
-                        ext ^= b
-                        budget.charge()
-                        nxt.append((mask | b, j, common & adj[j]))
-                if not nxt:
-                    break
-                levels.append(sorted(m for m, _, _ in nxt))
-                level = nxt
-            return levels
+            return _clique_levels(self._adj, budget)
         seen = set()
         for f in self._max:
             sub = f
@@ -341,15 +337,6 @@ class SimplicialComplex:
             by_dim.setdefault(m.bit_count() - 1, []).append(m)
         return [sorted(by_dim.get(d, ())) for d in range(max(by_dim) + 1)]
 
-    def face_set(self, budget=None):
-        """Every face as a frozenset of vertices, the empty face included."""
-        budget = FaceBudget.ensure(budget)
-        out = {frozenset()}
-        for level in self._faces_by_dim(budget):
-            for m in level:
-                out.add(frozenset(self._mask_to_face(m)))
-        return frozenset(out)
-
     # -- subcomplexes and joins ----------------------------------------------
 
     def induced(self, keep):
@@ -358,16 +345,7 @@ class SimplicialComplex:
         order = [v for v in self._vertices if v in keepset]
         if self.is_flag:
             old = [self._index[v] for v in order]
-            remap = {o: i for i, o in enumerate(old)}
-            adj = []
-            for o in old:
-                m = 0
-                row = self._adj[o]
-                for b in _bits(row):
-                    if b in remap:
-                        m |= 1 << remap[b]
-                adj.append(m)
-            return SimplicialComplex(order, adj=adj)
+            return SimplicialComplex(order, adj=_restrict_masks(self._adj, old))
         keep_mask = 0
         for v in order:
             keep_mask |= 1 << self._index[v]

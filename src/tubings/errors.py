@@ -74,8 +74,6 @@ class FaceBudgetConfigError(TubingsError):
 class FaceBudgetExceededError(TubingsError):
     """An enumeration grew past the configured face budget."""
 
-    def __init__(self, limit, context=""):
+    def __init__(self, limit):
         self.limit = limit
-        self.context = context
-        detail = f" while {context}" if context else ""
-        super().__init__(f"face budget of {limit} exceeded{detail}")
+        super().__init__(f"face budget of {limit} exceeded")

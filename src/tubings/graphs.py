@@ -85,8 +85,6 @@ class Pseudograph:
         norm = []
         for edge in edges:
             u, v, label = _normalize_edge(edge)
-            if not isinstance(u, int) or not isinstance(v, int):
-                raise GraphError(f"edge endpoints must be integers: {edge!r}")
             if u == v:
                 raise LoopEdgeError(f"loop at node {u} is not allowed")
             if u not in node_set or v not in node_set:
@@ -220,10 +218,6 @@ class Pseudograph:
                 comps.append(frozenset(comp))
             self._components = tuple(comps)
         return self._components
-
-    def connected_components(self):
-        """Induced subgraphs on each component; empty graph gives ()."""
-        return tuple(self.induced_subgraph(c) for c in self.component_nodesets())
 
     def is_connected(self):
         return len(self.component_nodesets()) == 1

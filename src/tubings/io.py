@@ -16,9 +16,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import GraphSyntaxError, UnknownMemberError
-from .graphs import Collection, Pseudograph
+from .graphs import _LABEL_RE, Collection, Pseudograph
 
-_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 _INT_RE = re.compile(r"[0-9]+\Z")
 
 

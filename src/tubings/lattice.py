@@ -22,6 +22,7 @@ from ._intlinalg import det_bareiss, gf2_rank
 from .complexes import FaceBudget, _bits
 from .errors import DisconnectedError, HostMismatchError
 from .graphs import Designation, restricted_ground
+from .parity import _require_subset
 from .tubes import TubeSystem
 
 
@@ -176,10 +177,7 @@ def characteristic_rank(graph, designation=None, budget=None, system=None):
 def collection_parity_vector(graph, collection, budget=None, system=None):
     """Per-tube meet parity with the collection, in tube order."""
     _require_connected(graph)
-    if not collection.issubset_of(graph):
-        raise HostMismatchError(
-            f"{collection!r} is not a subset of the graph's ground set"
-        )
+    _require_subset(graph, collection)
     if system is None:
         system = TubeSystem(graph, budget)
     cmask = system.collection_mask(collection)

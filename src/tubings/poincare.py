@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import FaceBudget
 from .graphs import Collection, enumerate_reductions, reduced_graph, touched_subgraph
 from .parity import (
     _EvenFamily,
@@ -129,7 +128,9 @@ def from_betti_tilde(betti):
     return IntPolynomial(betti.to_list()[1:])
 
 
+# a-polynomials by graph, oldest evicted first once the cap is reached
 _A_CACHE = {}
+_A_CACHE_LIMIT = 4096
 
 
 def clear_caches():
@@ -150,6 +151,8 @@ def a_polynomial(graph, budget=None, designation=None):
         complex_ = odd_tube_complex(graph, c, budget=budget, system=system)
         total = total + from_betti_tilde(complex_.betti_reduced(budget))
     if cacheable:
+        if len(_A_CACHE) >= _A_CACHE_LIMIT:
+            del _A_CACHE[next(iter(_A_CACHE))]
         _A_CACHE[graph] = total
     return total
 

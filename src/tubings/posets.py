@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import FaceBudget, SimplicialComplex, _bits
-from .errors import HostMismatchError
+from .complexes import FaceBudget, SimplicialComplex, _bits, _clique_levels
+from .parity import _require_subset
 from .tubes import TubeSystem
 
 
@@ -118,10 +118,7 @@ def parity_subgraph_poset(
     """Poset of separated unions of tubes of the given meet parity."""
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', not {parity!r}")
-    if not collection.issubset_of(graph):
-        raise HostMismatchError(
-            f"{collection!r} is not a subset of the graph's ground set"
-        )
+    _require_subset(graph, collection)
     budget = FaceBudget.ensure(budget)
     if system is None:
         system = TubeSystem(graph, budget)
@@ -145,40 +142,13 @@ def parity_subgraph_poset(
                 sep[a] |= 1 << b
                 sep[b] |= 1 << a
 
-    cliques = []
-    level = []
-    for a in range(k):
-        budget.charge()
-        level.append((1 << a, a, sep[a]))
-    cliques.extend(m for m, _, _ in level)
-    while level:
-        nxt = []
-        for mask, last, common in level:
-            ext = common & ~((1 << (last + 1)) - 1)
-            while ext:
-                b = ext & -ext
-                j = b.bit_length() - 1
-                ext ^= b
-                budget.charge()
-                nxt.append((mask | b, j, common & sep[j]))
-        cliques.extend(m for m, _, _ in nxt)
-        level = nxt
-
     target = collection.members()
     elements = []
-    for mask in cliques:
+    for mask in (m for level in _clique_levels(sep, budget) for m in level):
         tubes = frozenset(system.tubes[idxs[a]] for a in _bits(mask))
         members = frozenset().union(*(t.representation() for t in tubes))
         if exclude_collection and members == target:
             continue
         elements.append(TubeUnion(tubes, members))
     elements.sort(key=TubeUnion.sort_key)
-
-    n = len(elements)
-    below = [0] * n
-    for i in range(n):
-        mi = elements[i].members
-        for j in range(n):
-            if i != j and elements[j].members < mi:
-                below[i] |= 1 << j
-    return FinitePoset(elements, below)
+    return FinitePoset.from_relation(elements, lambda a, b: a.members < b.members)

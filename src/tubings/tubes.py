@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import FaceBudget, SimplicialComplex
+from .complexes import FaceBudget, SimplicialComplex, _restrict_masks
 from .errors import GraphError, HostMismatchError
-from .graphs import Pseudograph
 
 
 class Tube:
@@ -80,9 +79,6 @@ class Tube:
             if not (set(b.labels) & self._repr):
                 closure.update(b.labels)
         return frozenset(closure)
-
-    def contains(self, other):
-        return other._repr <= self._repr
 
     def separated_from(self, other):
         if self._nodes & other._nodes:
@@ -276,17 +272,8 @@ class TubeSystem:
     def complex_on(self, tube_indices):
         """Flag complex of compatibility restricted to the given tubes."""
         chosen = list(tube_indices)
-        remap = {t: i for i, t in enumerate(chosen)}
-        adj = []
-        for t in chosen:
-            m = 0
-            cm = self.compat_masks[t]
-            for s, i in remap.items():
-                if cm >> s & 1:
-                    m |= 1 << i
-            adj.append(m)
         return SimplicialComplex.flag_from_masks(
-            [self.tubes[t] for t in chosen], adj
+            [self.tubes[t] for t in chosen], _restrict_masks(self.compat_masks, chosen)
         )
 
     def tubing_complex(self):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubings import (
     BettiVector,
@@ -13,6 +15,7 @@ from tubings import (
     VertexClashError,
     from_betti_suspended,
 )
+from tubings.complexes import _clique_levels
 from tubings.errors import FaceBudgetConfigError
 
 
@@ -208,3 +211,40 @@ def test_shellable_order_is_a_certificate():
     assert {frozenset(f) for f in rep.order} == {
         frozenset(f) for f in k.maximal_faces()
     }
+
+
+@st.composite
+def small_graphs(draw):
+    """(vertex count, edge set, adjacency bitmasks) on at most 10 vertices."""
+    n = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return n, edges, adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_clique_levels_match_brute_force_listing(graph):
+    n, edges, adj = graph
+    brute = []
+    for size in range(1, n + 1):
+        level = sorted(
+            sum(1 << v for v in clique)
+            for clique in itertools.combinations(range(n), size)
+            if all(pair in edges for pair in itertools.combinations(clique, 2))
+        )
+        if not level:
+            break
+        brute.append(level)
+    budget = FaceBudget(10**6)
+    assert _clique_levels(adj, budget) == brute
+    total = sum(map(len, brute))
+    assert budget.used == total
+    _clique_levels(adj, FaceBudget(total))
+    if total:
+        with pytest.raises(FaceBudgetExceededError):
+            _clique_levels(adj, FaceBudget(total - 1))

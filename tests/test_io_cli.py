@@ -227,14 +227,19 @@ def test_cli_bad_input(tmp_path, graph_file, capsys):
 def test_cli_budget_exhaustion(graph_file, capsys):
     assert main(["complex", graph_file, "--face-budget", "5"]) == 3
     assert "face budget of 5 exceeded" in capsys.readouterr().err
+    assert main(["verify", graph_file, "--face-budget", "5"]) == 3
+    assert "face budget of 5 exceeded" in capsys.readouterr().err
+    with pytest.raises(SystemExit):  # --face-budget is the one budget option
+        main(["verify", graph_file, "--budget", "5"])
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
 def test_cli_malformed_budget_env(graph_file, capsys, monkeypatch, raw):
     monkeypatch.setenv("TUBINGS_FACE_BUDGET", raw)
-    assert main(["tubes", graph_file]) == 2
-    assert f"TUBINGS_FACE_BUDGET={raw!r}" in capsys.readouterr().err
-    assert main(["tubes", graph_file, "--face-budget", "100"]) == 0
+    for command in ("tubes", "lessdot"):
+        assert main([command, graph_file]) == 2
+        assert f"TUBINGS_FACE_BUDGET={raw!r}" in capsys.readouterr().err
+        assert main([command, graph_file, "--face-budget", "100"]) == 0
 
 
 def test_cli_module_entry_point(graph_file):

@@ -6,6 +6,7 @@ import pytest
 from tubings import (
     BettiVector,
     Designation,
+    FaceBudget,
     IntPolynomial,
     Pseudograph,
     a_polynomial,
@@ -18,6 +19,7 @@ from tubings import (
     poincare_reduced,
     polytope_dimension,
 )
+from tubings import poincare
 
 
 def test_polynomial_strings():
@@ -169,6 +171,25 @@ def test_cache_round_trip(bundle_path3):
     assert a_polynomial(bundle_path3) is first
     clear_caches()
     assert a_polynomial(bundle_path3) == first
+
+
+def test_a_cache_evicts_the_oldest_entry_at_its_cap(monkeypatch):
+    monkeypatch.setattr(poincare, "_A_CACHE_LIMIT", 3)
+    clear_caches()
+    graphs = [
+        Pseudograph([k + 1, k + 2, k + 3], [(k + 1, k + 2, None), (k + 2, k + 3, None)])
+        for k in range(0, 50, 10)
+    ] + [Pseudograph([1, 2], [(1, 2, "a"), (1, 2, "b")])]
+    expected = [a_polynomial(g, FaceBudget()) for g in graphs]  # bypasses the cache
+    assert not poincare._A_CACHE
+    for g, want in zip(graphs, expected):
+        assert a_polynomial(g) == want
+        assert len(poincare._A_CACHE) <= 3
+    assert list(poincare._A_CACHE) == graphs[-3:]
+    for g, want in zip(graphs, expected):
+        assert a_polynomial(g) == want
+    clear_caches()
+    assert not poincare._A_CACHE
 
 
 def test_designation_choice_is_invisible(bundle_path3, bundle_cycle4):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubings import (
     FaceBudget,
@@ -178,3 +180,36 @@ def test_random_tube_pairs_compatibility_symmetry(bundle_path4):
 def test_tube_sorting_is_stable(bundle_path3):
     tubes = enumerate_tubes(bundle_path3)
     assert list(tubes) == sorted(tubes, key=lambda t: t.sort_key())
+
+
+BUNDLE_GRAPHS = (
+    Pseudograph([1, 2, 3], [(1, 2, "a"), (1, 2, "b"), (2, 3, None)]),
+    Pseudograph(
+        [1, 2, 3, 4],
+        [(1, 2, "a"), (1, 2, "b"), (2, 3, None), (3, 4, None), (1, 4, None)],
+    ),
+    Pseudograph(
+        [1, 2, 3, 4],
+        [(1, 2, "a"), (1, 2, "b"), (1, 3, None), (1, 4, None),
+         (2, 3, None), (2, 4, None), (3, 4, "c"), (3, 4, "d"), (3, 4, "e")],
+    ),
+)
+SYSTEMS = [TubeSystem(g) for g in BUNDLE_GRAPHS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_complex_on_is_the_induced_tubing_complex(data):
+    system = data.draw(st.sampled_from(SYSTEMS))
+    tubes = system.tubes
+    idxs = data.draw(st.lists(st.integers(0, len(tubes) - 1), unique=True))
+    sub = system.complex_on(idxs)
+    assert sub.vertices == tuple(tubes[i] for i in idxs)
+    for a, i in enumerate(idxs):
+        for b, j in enumerate(idxs):
+            assert bool(sub._adj[a] >> b & 1) == (i != j and compatible(tubes[i], tubes[j]))
+    ordered = sorted(idxs)
+    induced = system.tubing_complex().induced([tubes[i] for i in ordered])
+    in_order = system.complex_on(ordered)
+    assert induced.vertices == in_order.vertices
+    assert induced._adj == in_order._adj
