@@ -34,6 +34,13 @@ _VARIANTS = {
 }
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _common_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -89,7 +96,7 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument(
         "--max-collections",
-        type=int,
+        type=_positive_int,
         default=None,
         dest="max_collections",
         help="sample at most this many even collections",

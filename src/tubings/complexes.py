@@ -49,6 +49,8 @@ class FaceBudget:
 
     def __init__(self, limit=None):
         self.limit = default_face_budget() if limit is None else int(limit)
+        if self.limit < 1:
+            raise FaceBudgetConfigError(f"face budget {limit!r} is not a positive integer")
         self.used = 0
 
     def charge(self, n=1):

@@ -68,7 +68,7 @@ class VertexClashError(TubingsError):
 
 
 class FaceBudgetConfigError(TubingsError):
-    """The face budget set in the environment is not a positive integer."""
+    """A face budget, given or set in the environment, is not a positive integer."""
 
 
 class FaceBudgetExceededError(TubingsError):

@@ -471,3 +471,116 @@ def enumerate_reductions(graph):
                         seen.add(h)
                         out.append(h)
     return tuple(out)
+
+
+
+# -- symmetry ---------------------------------------------------------------
+
+
+def _multiplicities(graph, offset=0):
+    """Per node in order, {neighbour: multiplicity}, numbered from ``offset``:
+    1 for a plain edge, |b| for a bundle b.  A node map keeping every
+    multiplicity is an isomorphism; labels in a bundle follow in any order."""
+    index = {v: i + offset for i, v in enumerate(graph.nodes)}
+    rows = [{} for _ in graph.nodes]
+    for u, v, _ in graph.edges:
+        for a, b in ((index[u], index[v]), (index[v], index[u])):
+            rows[a - offset][b] = rows[a - offset].get(b, 0) + 1
+    return rows
+
+
+def _refine(rows, colours, n):
+    """Colour refinement of a colouring of two n-node graphs side by side
+    to a stable partition.  Returns the colours, numbered by sorted
+    signature so that they agree between graphs refined alike, the cells in
+    colour order as (nodes of the first, nodes of the second), and the
+    first cell with two nodes of the first, or ((), ())."""
+    while True:
+        sigs = [
+            (c, tuple(sorted((m, colours[w]) for w, m in row.items())))
+            for c, row in zip(colours, rows)
+        ]
+        table = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        stable = len(table) == len(set(colours))
+        colours = [table[s] for s in sigs]
+        if stable:
+            break
+    cells = {}
+    for v, c in enumerate(colours):
+        cells.setdefault(c, ([], []))[v >= n].append(v)
+    cells = [cells[c] for c in sorted(cells)]
+    return colours, cells, next((cell for cell in cells if len(cell[0]) > 1), ((), ()))
+
+
+def _match(rows, colours, n):
+    """Individualization-refinement search on two n-node graphs side by side
+    in ``rows``: a map of the first onto the second that keeps the colours
+    and every multiplicity, or None."""
+    colours, cells, (left, right) = _refine(rows, colours, n)
+    if any(len(a) != len(b) for a, b in cells):
+        return None
+    if not left:
+        perm = {a[0]: b[0] for a, b in cells}
+        # every node pair of the candidate, absent edges included
+        ok = all({perm[w]: m for w, m in rows[v].items()} == rows[perm[v]] for v in perm)
+        return perm if ok else None
+    for y in right:
+        trial = list(colours)
+        trial[left[0]] = trial[y] = len(colours)
+        perm = _match(rows, trial, n)
+        if perm is not None:
+            return perm
+    return None
+
+
+def isomorphism_classes(graphs):
+    """The graphs up to isomorphism, as (representative, count) pairs.  Two
+    graphs meet only when their nodes' sorted multiplicities agree (one
+    round of colour refinement) and a node map, checked on every pair,
+    takes one onto the other."""
+    buckets = {}
+    for g in graphs:
+        rows = _multiplicities(g)
+        bucket = buckets.setdefault(tuple(sorted(tuple(sorted(r.values())) for r in rows)), [])
+        n = len(rows)
+        shifted = _multiplicities(g, n)
+        for entry in bucket:
+            if _match(entry[2] + shifted, [0] * 2 * n, n) is not None:
+                entry[1] += 1
+                break
+        else:
+            bucket.append([g, 1, rows])
+    return [(g, count) for bucket in buckets.values() for g, count, _ in bucket]
+
+
+def automorphism_generators(graph):
+    """Node permutations, as dicts, that generate the automorphism group of
+    the graph's multiplicity matrix.
+
+    Along one individualization chain, each level fixes the first node x of
+    the first non-singleton cell.  From the deepest level up, each level
+    adds a verified automorphism taking x to each other node of its cell
+    that x can reach and that the automorphisms found so far do not.
+    """
+    nodes, n = graph.nodes, len(graph.nodes)
+    rows = _multiplicities(graph) + _multiplicities(graph, n)
+    colours, chain, found = [0] * (2 * n), [], []
+    while True:
+        colours, _, (left, right) = _refine(rows, colours, n)
+        if not left:
+            break
+        chain.append((list(colours), left[0], right[1:]))
+        colours[left[0]] = colours[left[0] + n] = len(colours)
+    for colours, x, right in reversed(chain):
+        orbit = {x}
+        for y in right:
+            grown = None
+            while grown != orbit:
+                grown, orbit = orbit, orbit | {p[v] for p in found for v in orbit}
+            if y - n not in orbit:
+                trial = list(colours)
+                trial[x] = trial[y] = len(colours)
+                perm = _match(rows, trial, n)
+                if perm is not None:
+                    found.append({a: b - n for a, b in perm.items()})
+    return [{nodes[a]: nodes[b] for a, b in p.items()} for p in found]

@@ -16,10 +16,14 @@ misses.  The reduced graph of C carries an odd subcomplex of its own, and
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .errors import HostMismatchError, NotEvenError
 from .graphs import (
     Collection,
     Designation,
+    automorphism_generators,
     reduced_graph,
     restricted_ground,
     touched_nodes,
@@ -255,6 +259,53 @@ def admissible_collections(graph, designation=None):
     """Even collections that are admissible, in enumeration order."""
     return [
         c for c in even_collections(graph, designation) if is_admissible(graph, c)
+    ]
+
+
+def has_admissible(graph):
+    """Whether the graph has an admissible collection: every component holds
+    a bundle end or an even number of nodes."""
+    ends = {x for b in graph.bundles for x in (b.u, b.v)}
+    return all(comp & ends or len(comp) % 2 == 0 for comp in graph.component_nodesets())
+
+
+def collection_orbits(graph, admissible=False):
+    """Even collections, or only the admissible ones, up to the graph's
+    automorphisms: (representative, weight) pairs, the weights adding up to
+    the number of such collections.  A class is a node set plus an even
+    count k_b per bundle b, of weight prod C(|b|, k_b); classes that an
+    automorphism generator maps onto each other merge."""
+    bundles = graph.bundles
+    ends = {x for b in bundles for x in (b.u, b.v)}
+    fixed = frozenset(v for v in graph.nodes if admissible and v not in ends)
+    free = [v for v in graph.nodes if v not in fixed]
+    sizes = [len(b.labels) for b in bundles]
+    counts = list(itertools.product(*(range(2 * admissible, m + 1, 2) for m in sizes)))
+    parent = {}
+    for r in range(len(free) + 1):
+        for picked in itertools.combinations(free, r):
+            nodes = fixed.union(picked)
+            if all(len(nodes & comp) % 2 == 0 for comp in graph.component_nodesets()):
+                parent.update(((nodes, k), (nodes, k)) for k in counts)
+
+    def find(key):
+        while parent[key] != key:
+            parent[key] = key = parent[parent[key]]
+        return key
+
+    slot = {(b.u, b.v): i for i, b in enumerate(bundles)}
+    for g in automorphism_generators(graph):
+        to = [slot[tuple(sorted((g[b.u], g[b.v])))] for b in bundles]
+        for nodes, k in list(parent):
+            image = tuple(k[to.index(i)] for i in range(len(k)))
+            parent[find((frozenset(map(g.get, nodes)), image))] = find((nodes, k))
+    weights = {}
+    for nodes, k in parent:
+        root = find((nodes, k))
+        weights[root] = weights.get(root, 0) + math.prod(map(math.comb, sizes, k))
+    return [
+        (Collection(nodes, frozenset(x for b, c in zip(bundles, k) for x in b.labels[:c])), w)
+        for (nodes, k), w in weights.items()
     ]
 
 

@@ -5,8 +5,9 @@ reduced Betti polynomial of the odd tube subcomplex for C.  The structural
 route assigns each graph H an *a-polynomial* (the sum over its admissible
 collections of the plain reduced Betti polynomials) and recovers the
 Poincaré polynomial of G as ``1 + t * sum(a_H)`` over all reductions H of
-G.  ``cross_check`` exercises both routes plus the identities connecting them
-and reports any counterexample found.
+G.  Both routes add one term per symmetry class, times its size.
+``cross_check`` exercises both routes plus the identities connecting them,
+with a plain sum over every collection, and reports any counterexample found.
 """
 
 from __future__ import annotations
@@ -14,12 +15,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Collection, enumerate_reductions, reduced_graph, touched_subgraph
+from .graphs import (
+    Collection,
+    Designation,
+    enumerate_reductions,
+    isomorphism_classes,
+    reduced_graph,
+    touched_subgraph,
+)
 from .parity import (
     _EvenFamily,
     admissible_collections,
+    collection_orbits,
     components_all_even,
     confined_odd_complex,
+    has_admissible,
     inflation_matches,
     is_admissible,
     odd_tube_complex,
@@ -139,17 +149,20 @@ def clear_caches():
 
 def a_polynomial(graph, budget=None, designation=None):
     """Sum over the graph's admissible collections of the reduced Betti
-    polynomials of their odd tube subcomplexes."""
+    polynomials of their odd tube subcomplexes, one term per orbit of
+    collections under the graph's automorphisms, times its size."""
     cacheable = budget is None and designation is None
     if cacheable:
         hit = _A_CACHE.get(graph)
         if hit is not None:
             return hit
-    system = TubeSystem(graph, budget)
+    Designation.resolve(graph, designation)
     total = IntPolynomial.zero()
-    for c in admissible_collections(graph, designation):
-        complex_ = odd_tube_complex(graph, c, budget=budget, system=system)
-        total = total + from_betti_tilde(complex_.betti_reduced(budget))
+    if has_admissible(graph):
+        system = TubeSystem(graph, budget)
+        for c, weight in collection_orbits(graph, admissible=True):
+            complex_ = odd_tube_complex(graph, c, budget=budget, system=system)
+            total = total + from_betti_tilde(complex_.betti_reduced(budget)) * weight
     if cacheable:
         if len(_A_CACHE) >= _A_CACHE_LIMIT:
             del _A_CACHE[next(iter(_A_CACHE))]
@@ -158,23 +171,28 @@ def a_polynomial(graph, budget=None, designation=None):
 
 
 def poincare_reduced(graph, budget=None, designation=None):
-    """Poincaré polynomial assembled from a-polynomials of all reductions."""
+    """Poincaré polynomial assembled from a-polynomials of all reductions,
+    one per isomorphism class, times its size."""
+    Designation.resolve(graph, designation)
+    # an instance names members of this graph alone; a rule carries over
+    inner = designation if callable(designation) else None
     total = IntPolynomial.zero()
-    for h in enumerate_reductions(graph):
-        total = total + a_polynomial(h, budget, designation)
+    reductions = (h for h in enumerate_reductions(graph) if has_admissible(h))
+    for h, count in isomorphism_classes(reductions):
+        total = total + a_polynomial(h, budget, inner) * count
     return IntPolynomial.one() + total.shift(1)
 
 
 def poincare_brute(graph, budget=None, designation=None, system=None):
-    """Poincaré polynomial summed over all even collections directly."""
+    """Poincaré polynomial summed over all even collections directly, one
+    term per orbit under the graph's automorphisms, times its size."""
+    Designation.resolve(graph, designation)
     if system is None:
         system = TubeSystem(graph, budget)
-    family = _EvenFamily(graph, designation)
     total = IntPolynomial.zero()
-    for index in range(family.count()):
-        c = family.collection_at(index)
+    for c, weight in collection_orbits(graph):
         complex_ = odd_tube_complex(graph, c, budget=budget, system=system)
-        total = total + from_betti_suspended(complex_.betti_reduced(budget))
+        total = total + from_betti_suspended(complex_.betti_reduced(budget)) * weight
     return total
 
 
@@ -240,6 +258,8 @@ def cross_check(
     bad = chosen - set(ALL_CHECKS)
     if bad:
         raise ValueError(f"unknown checks: {sorted(bad)}")
+    if max_collections is not None and max_collections < 1:
+        raise ValueError(f"max_collections must be at least 1, got {max_collections}")
     system = TubeSystem(graph, budget)
     family = _EvenFamily(graph, designation)
     total = family.count()

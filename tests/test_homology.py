@@ -158,6 +158,14 @@ def test_face_budget_env_must_be_a_positive_integer(monkeypatch, raw):
     assert FaceBudget(7).limit == 7
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_face_budget_limit_must_be_positive(limit):
+    with pytest.raises(FaceBudgetConfigError) as info:
+        FaceBudget(limit)
+    assert isinstance(info.value, TubingsError)
+    assert str(limit) in str(info.value)
+
+
 def test_face_budget_env_sets_the_default(monkeypatch):
     monkeypatch.setenv("TUBINGS_FACE_BUDGET", "42")
     assert FaceBudget().limit == 42
@@ -244,7 +252,8 @@ def test_clique_levels_match_brute_force_listing(graph):
     assert _clique_levels(adj, budget) == brute
     total = sum(map(len, brute))
     assert budget.used == total
-    _clique_levels(adj, FaceBudget(total))
-    if total:
+    # a budget is at least 1, so "one less" exists from 2 cliques on
+    _clique_levels(adj, FaceBudget(max(total, 1)))
+    if total > 1:
         with pytest.raises(FaceBudgetExceededError):
             _clique_levels(adj, FaceBudget(total - 1))

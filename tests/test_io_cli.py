@@ -233,6 +233,21 @@ def test_cli_budget_exhaustion(graph_file, capsys):
         main(["verify", graph_file, "--budget", "5"])
 
 
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_cli_face_budget_below_one_is_bad_input(graph_file, capsys, raw):
+    for command in ("tubes", "verify"):
+        assert main([command, graph_file, "--face-budget", raw]) == 2
+        assert "not a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_cli_max_collections_below_one_is_bad_input(graph_file, capsys, raw):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", graph_file, "--max-collections", raw])
+    assert info.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
 def test_cli_malformed_budget_env(graph_file, capsys, monkeypatch, raw):
     monkeypatch.setenv("TUBINGS_FACE_BUDGET", raw)

@@ -7,6 +7,7 @@ from tubings import (
     BettiVector,
     Designation,
     FaceBudget,
+    GraphError,
     IntPolynomial,
     Pseudograph,
     a_polynomial,
@@ -132,6 +133,12 @@ def test_cross_check_rejects_unknown_names(bundle_path3):
         cross_check(bundle_path3, checks=("routes", "bogus"))
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_cross_check_rejects_a_sample_below_one(bundle_path3, limit):
+    with pytest.raises(ValueError):
+        cross_check(bundle_path3, max_collections=limit)
+
+
 def test_simple_graphs_concentrate_in_one_degree():
     """Without bundles the a-polynomial is a single monomial (or zero):
     nothing below the middle dimension survives, and an odd number of
@@ -200,6 +207,25 @@ def test_designation_choice_is_invisible(bundle_path3, bundle_cycle4):
     swapped = Designation(nodes=frozenset({1}), labels=frozenset({"a"}))
     assert poincare_brute(bundle_path3, designation=swapped).to_list() == [1, 3, 2]
     assert a_polynomial(bundle_path3, designation=swapped) == a_polynomial(bundle_path3)
+
+
+def test_designation_instance_of_the_graph_is_accepted(bundle_path3, bundle_cycle4):
+    for g in (bundle_path3, bundle_cycle4):
+        d = Designation.default(g)
+        base = poincare_brute(g)
+        assert poincare_reduced(g, designation=d) == poincare_brute(g, designation=d) == base
+        report = cross_check(g, designation=d)
+        assert report.ok, report.failures
+        assert report.poincare_reduced == base
+
+
+def test_malformed_designation_still_raises(bundle_path3):
+    two_nodes = Designation(nodes=frozenset({1, 2}), labels=frozenset({"a"}))
+    no_label = Designation(nodes=frozenset({3}), labels=frozenset())
+    for bad in (two_nodes, no_label):
+        for route in (poincare_brute, poincare_reduced, a_polynomial):
+            with pytest.raises(GraphError):
+                route(bundle_path3, FaceBudget(), bad)
 
 
 def test_poincare_at_minus_one_is_the_manifold_euler_characteristic(
