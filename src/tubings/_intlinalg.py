@@ -6,6 +6,9 @@ floating point anywhere.  The rank routine reduces rows stored as
 stored row's largest column; the elimination is fraction-free and divides
 every reduced row by the gcd of its entries, so boundary matrices, which
 are almost entirely +-1, keep tiny entries.
+
+`gf2_basis` (int bit-vector rows, XOR against a table keyed by lowest bit)
+ranks the boundary maps of `complexes`, with `rank_int` as the fallback.
 """
 
 from math import gcd

@@ -2,9 +2,10 @@
 
 Complexes come in two internal representations: *flag* (vertices plus an
 adjacency relation; faces are the cliques) and *explicit* (a pruned list of
-maximal faces).  Betti numbers are computed over the rationals with exact
-integer elimination, after an optional strong-collapse pass that deletes
-dominated vertices.
+maximal faces).  Betti numbers are rational, after an optional strong
+collapse that deletes dominated vertices; boundary ranks are over GF(2) with
+clearing, and exact integer elimination ranks again only the maps where
+torsion could hide (nonzero mod-2 Betti numbers on both sides).
 
 Reduced Betti vectors are indexed from dimension -1, so the empty complex
 (which still contains the empty face) has Betti vector (1,).
@@ -18,11 +19,15 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ._intlinalg import rank_int
+from ._intlinalg import gf2_basis, rank_int
 from .errors import FaceBudgetConfigError, FaceBudgetExceededError, VertexClashError
 
 DEFAULT_FACE_BUDGET = 1_000_000
 _BUDGET_ENV = "TUBINGS_FACE_BUDGET"
+# A GF(2) row is an int as wide as the level below: R rows over W faces take
+# up to R * W / 8 bytes, and the basis keys as much again.  The largest map
+# of P12's odd complexes has 1e9 cells after clearing, of K10's 6e10.
+_GF2_MAX_CELLS = 1 << 30
 
 
 def default_face_budget():
@@ -433,25 +438,24 @@ class SimplicialComplex:
     def betti_reduced(self, budget=None, _use_core=True):
         """Reduced Betti numbers over the rationals, from dimension -1."""
         budget = FaceBudget.ensure(budget)
-        target = self
         if self.is_flag:
+            adj = self._adj
             if _use_core and self._vertices:
                 alive = self._flag_core_mask()
                 if alive.bit_count() == 1:
                     return BettiVector.zeros()
                 if alive.bit_count() < len(self._vertices):
-                    target = self.induced(
-                        [self._vertices[i] for i in _bits(alive)]
-                    )
-            levels = target._faces_by_dim(budget)
+                    adj = _restrict_masks(adj, list(_bits(alive)))
+            levels = _clique_levels(adj, budget)
         else:
+            target = self
             if _use_core:
                 masks, nverts = self._explicit_core()
                 if nverts == 1:
                     return BettiVector.zeros()
                 target = SimplicialComplex(self._vertices, max_masks=tuple(masks))
             levels = target._faces_by_dim(budget)
-        return _betti_from_levels(levels, budget)
+        return _betti_from_levels(levels)
 
     def euler_reduced(self, budget=None):
         """Alternating face-count sum minus one (no collapse, direct count)."""
@@ -562,27 +566,68 @@ class _ExpansionBudget(Exception):
     pass
 
 
-def _betti_from_levels(levels, budget):
-    """Reduced Betti numbers from per-dimension face-mask lists."""
+def _betti_from_levels(levels):
+    """Reduced Betti numbers over the rationals from per-dimension face-mask
+    lists, by GF(2) ranks from the top dimension down.
+
+    A face owning a pivot (lowest bit) of the basis of the map above it is
+    left out of its own map, which keeps the rank (clearing).  A GF(2) rank
+    falls short of the rational one only through 2-torsion, which raises the
+    Betti numbers on both sides of that map (universal coefficients), so
+    only a map with both nonzero is ranked again with rank_int.  A map too
+    large for dense rows, and every map below it, is ranked exactly at once.
+    """
     fcounts = [len(level) for level in levels]
     top = len(levels)
     ranks = [0] * (top + 1)  # ranks[d] = rank of boundary from d-faces
     if fcounts and fcounts[0]:
         ranks[0] = 1
-    for d in range(1, top):
+    exact = set()
+    cleared = set()
+    for d in range(top - 1, 0, -1):
         lower = {m: i for i, m in enumerate(levels[d - 1])}
-        rows = []
-        for m in levels[d]:
-            row = {}
-            sign = 1
-            for b in _bits(m):
-                face = m ^ (1 << b)
-                row[lower[face]] = sign
-                sign = -sign
-            rows.append(row)
-        ranks[d] = rank_int(rows)
-    betti = [1 - ranks[0]]
-    for d in range(top):
-        nxt = ranks[d + 1] if d + 1 <= top else 0
-        betti.append(fcounts[d] - ranks[d] - nxt)
-    return BettiVector(betti)
+        if exact or (fcounts[d] - len(cleared)) * fcounts[d - 1] > _GF2_MAX_CELLS:
+            ranks[d] = rank_int(_signed_rows(levels[d], lower))
+            exact.add(d)
+        else:
+            ranks[d], cleared = _gf2_rank_and_pivots(levels[d], lower, cleared, levels[d - 1])
+    mod2 = _betti_from_ranks(fcounts, ranks)
+    for d in range(1, top):
+        if d not in exact and mod2[d] and mod2[d + 1]:
+            lower = {m: i for i, m in enumerate(levels[d - 1])}
+            ranks[d] = rank_int(_signed_rows(levels[d], lower))
+    return BettiVector(_betti_from_ranks(fcounts, ranks))
+
+
+def _gf2_rank_and_pivots(level, lower, cleared, below):
+    """GF(2) rank of the boundary rows (bit ``lower[facet]`` per facet) of
+    the faces of ``level`` outside ``cleared``, and the pivot faces."""
+
+    def rows():
+        for m in level:
+            if m not in cleared:
+                row = 0
+                rest = m
+                while rest:
+                    b = rest & -rest
+                    row |= 1 << lower[m ^ b]
+                    rest ^= b
+                yield row
+
+    basis = gf2_basis(rows())
+    return len(basis), {below[p.bit_length() - 1] for p in basis}
+
+
+def _signed_rows(level, lower):
+    """Boundary rows of the faces in ``level`` as {lower[facet]: +-1} dicts."""
+    return [
+        {lower[m ^ (1 << b)]: (-1) ** k for k, b in enumerate(_bits(m))}
+        for m in level
+    ]
+
+
+def _betti_from_ranks(fcounts, ranks):
+    """Reduced Betti list from face counts and boundary ranks."""
+    return [1 - ranks[0]] + [
+        fcounts[d] - ranks[d] - ranks[d + 1] for d in range(len(fcounts))
+    ]

@@ -9,12 +9,19 @@ from tubings import (
     BettiVector,
     FaceBudget,
     FaceBudgetExceededError,
+    FinitePoset,
     IntPolynomial,
+    Pseudograph,
     SimplicialComplex,
     TubingsError,
     VertexClashError,
+    even_collections,
     from_betti_suspended,
+    odd_tube_complex,
+    order_complex,
 )
+from tubings import complexes
+from tubings._intlinalg import gf2_basis, gf2_rank, rank_int
 from tubings.complexes import _clique_levels
 from tubings.errors import FaceBudgetConfigError
 
@@ -25,6 +32,11 @@ def sphere(n):
     return SimplicialComplex.from_maximal(
         [f for f in itertools.combinations(verts, n + 1)]
     )
+
+
+def octahedron():
+    opposite = {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
+    return SimplicialComplex.flag(range(6), lambda u, v: opposite[u] != v)
 
 
 def random_complex(rng, max_vertices=6, max_faces=5):
@@ -72,8 +84,7 @@ def test_known_homology():
 
 def test_torus_like_flag_complex():
     """Octahedron boundary as a flag complex: a 2-sphere."""
-    opposite = {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
-    k = SimplicialComplex.flag(range(6), lambda u, v: opposite[u] != v)
+    k = octahedron()
     assert k.betti_reduced().to_list() == [0, 0, 0, 1]
     assert k.euler_reduced() == 1
 
@@ -222,9 +233,10 @@ def test_shellable_order_is_a_certificate():
 
 
 @st.composite
-def small_graphs(draw):
-    """(vertex count, edge set, adjacency bitmasks) on at most 10 vertices."""
-    n = draw(st.integers(0, 10))
+def small_graphs(draw, max_vertices=10):
+    """(vertex count, edge set, adjacency bitmasks) on at most `max_vertices`
+    vertices."""
+    n = draw(st.integers(0, max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     adj = [0] * n
@@ -257,3 +269,215 @@ def test_clique_levels_match_brute_force_listing(graph):
     if total > 1:
         with pytest.raises(FaceBudgetExceededError):
             _clique_levels(adj, FaceBudget(total - 1))
+
+
+# -- Betti numbers against full boundary matrices ---------------------------
+#
+# `betti_reduced` ranks the boundary maps over GF(2) with clearing and ranks
+# a map exactly only when the mod-2 Betti numbers on both sides of it are
+# nonzero.  The reference below ranks every full boundary matrix.
+
+
+def reference_betti(faces, rank=rank_int):
+    """Reduced Betti numbers, from dimension -1, of the complex whose
+    nonempty faces are the given sorted tuples, by `rank` of every full
+    signed boundary matrix (the empty face included, so that the vertices'
+    boundary is the augmentation)."""
+    top = max(map(len, faces), default=0)
+    levels = [[()]] + [sorted(f for f in faces if len(f) == k) for k in range(1, top + 1)]
+    ranks = [0]
+    for level in levels[1:]:
+        ranks.append(rank([{f[:i] + f[i + 1:]: (-1) ** i for i in range(len(f))} for f in level]))
+    ranks.append(0)
+    return BettiVector([len(level) - ranks[k] - ranks[k + 1] for k, level in enumerate(levels)])
+
+
+def mod2_rank(rows):
+    """Rank over GF(2) of signed boundary rows."""
+    index = {}
+    return gf2_rank(sum(1 << index.setdefault(k, len(index)) for k in row) for row in rows)
+
+
+def closure(maximal):
+    """Every nonempty face of the given faces, as sorted tuples."""
+    return {
+        sub
+        for f in maximal
+        for k in range(1, len(f) + 1)
+        for sub in itertools.combinations(sorted(f), k)
+    }
+
+
+def cliques(n, adjacent):
+    """Every nonempty clique of a graph on range(n), grown one vertex at a time."""
+    out = []
+    level = [(v,) for v in range(n)]
+    while level:
+        out += level
+        level = [c + (v,) for c in level for v in range(c[-1] + 1, n)
+                 if all(adjacent(u, v) for u in c)]
+    return out
+
+
+# cell limits for dense GF(2) rows: every map exact, a mixture, none exact
+CELL_LIMITS = st.sampled_from([0, 40, 400, complexes._GF2_MAX_CELLS])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_vertices=12), CELL_LIMITS)
+def test_flag_betti_matches_full_boundary_ranks(graph, limit):
+    n, edges, adj = graph
+    k = SimplicialComplex.flag_from_masks(range(n), adj)
+    expected = reference_betti(cliques(n, lambda u, v: (u, v) in edges))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_GF2_MAX_CELLS", limit)
+        assert k.betti_reduced(_use_core=False) == expected
+        assert k.betti_reduced() == expected
+
+
+@st.composite
+def explicit_faces(draw):
+    """1 to 6 faces on at most 8 vertices."""
+    n = draw(st.integers(1, 8))
+    face = st.sets(st.integers(0, n - 1), min_size=1, max_size=n).map(sorted)
+    return draw(st.lists(face, min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(explicit_faces(), CELL_LIMITS)
+def test_explicit_betti_matches_full_boundary_ranks(maximal, limit):
+    k = SimplicialComplex.from_maximal(maximal)
+    expected = reference_betti(closure(maximal))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_GF2_MAX_CELLS", limit)
+        assert k.betti_reduced(_use_core=False) == expected
+        assert k.betti_reduced() == expected
+
+
+# six-vertex RP^2: H_1 is Z/2, so over GF(2) it has homology in dimensions 1
+# and 2 and over the rationals none
+RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+       (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+TETRAHEDRON = list(itertools.combinations((4, 5, 6, 7), 3))
+
+
+def barycentric_rp2():
+    """The barycentric subdivision of RP^2 as a flag complex: the order
+    complex of its face poset, with its faces as chains of indices."""
+    faces = sorted(closure(RP2))
+    poset = FinitePoset.from_relation(faces, lambda a, b: set(a) < set(b))
+    chains = cliques(len(faces), lambda i, j: poset.comparable(i, j))
+    return order_complex(poset), chains
+
+
+def rp2():
+    return SimplicialComplex.from_maximal(RP2), closure(RP2)
+
+
+def rp2_joined_with_s0():
+    s0 = SimplicialComplex.from_maximal([(7,), (8,)])
+    return rp2()[0].join(s0), closure([f + p for f in RP2 for p in [(7,), (8,)]])
+
+
+def circle_and_sphere():
+    faces = TETRAHEDRON + [(1, 2), (2, 3), (1, 3)]
+    return SimplicialComplex.from_maximal(faces), closure(faces)
+
+
+@pytest.mark.parametrize(
+    "build, mod2, rational",
+    [
+        pytest.param(rp2, [0, 0, 1, 1], [], id="RP2"),
+        pytest.param(barycentric_rp2, [0, 0, 1, 1], [], id="RP2 subdivided, flag"),
+        # the torsion moves up one degree, onto the next boundary map
+        pytest.param(rp2_joined_with_s0, [0, 0, 0, 1, 1], [], id="RP2 joined with S0"),
+        # adjacent nonzero Betti numbers and no torsion
+        pytest.param(circle_and_sphere, [0, 1, 1, 1], [0, 1, 1, 1], id="circle and 2-sphere"),
+    ],
+)
+def test_adjacent_mod2_homology_falls_back_to_exact_rank(monkeypatch, build, mod2, rational):
+    k, faces = build()
+    assert reference_betti(faces, mod2_rank).to_list() == mod2
+    assert reference_betti(faces).to_list() == rational
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rank_int(rows)
+
+    monkeypatch.setattr(complexes, "rank_int", counted)
+    assert k.betti_reduced(_use_core=False).to_list() == rational
+    assert calls
+    assert k.betti_reduced().to_list() == rational
+
+
+@pytest.mark.parametrize(
+    "k, rows",
+    [
+        # f = (6, 12, 8); the GF(2) ranks of the boundary maps are 5 and 7
+        pytest.param(octahedron(), [8, 12 - 7], id="octahedron"),
+        # f = (5, 10, 10, 5); ranks 4, 6 and 4
+        pytest.param(sphere(3), [5, 10 - 4, 10 - 6], id="3-sphere"),
+        # f = (6, 15, 10); ranks 5 and 9 (10 over the rationals)
+        pytest.param(rp2()[0], [10, 15 - 9], id="RP2"),
+    ],
+)
+def test_clearing_leaves_out_one_row_per_pivot_of_the_map_above(monkeypatch, k, rows):
+    sizes = []
+
+    def recorded(rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return gf2_basis(rows)
+
+    monkeypatch.setattr(complexes, "gf2_basis", recorded)
+    k.betti_reduced(_use_core=False)
+    assert sizes == rows  # one map at a time, from the top dimension down
+
+
+@pytest.mark.parametrize(
+    "k, limit, ranked",
+    [
+        # the 3-sphere, f = (5, 10, 10, 5): its top map has 5 x 10 cells, and
+        # 6 rows of the next are left after clearing, 6 x 10 cells; below an
+        # exact map nothing is cleared
+        pytest.param(sphere(3), 0, ["exact", "exact", "exact"], id="3-sphere, 0"),
+        pytest.param(sphere(3), 50, ["gf2", "exact", "exact"], id="3-sphere, 50"),
+        pytest.param(sphere(3), 60, ["gf2", "gf2", "gf2"], id="3-sphere, 60"),
+        # adjacent nonzero Betti numbers, but the maps are exact already
+        pytest.param(circle_and_sphere()[0], 0, ["exact", "exact"], id="circle and 2-sphere, 0"),
+    ],
+)
+def test_maps_too_large_for_dense_rows_are_ranked_exactly_once(monkeypatch, k, limit, ranked):
+    expected = k.betti_reduced(_use_core=False)
+    calls = []
+
+    def gf2(rows):
+        calls.append("gf2")
+        return gf2_basis(rows)
+
+    def exact(rows):
+        calls.append("exact")
+        return rank_int(rows)
+
+    monkeypatch.setattr(complexes, "gf2_basis", gf2)
+    monkeypatch.setattr(complexes, "rank_int", exact)
+    monkeypatch.setattr(complexes, "_GF2_MAX_CELLS", limit)
+    assert k.betti_reduced(_use_core=False) == expected
+    assert calls == ranked
+
+
+def test_certified_complexes_never_rank_exactly(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("exact rank on a complex the mod-2 ranks certify")
+
+    monkeypatch.setattr(complexes, "rank_int", refuse)
+    assert octahedron().betti_reduced(_use_core=False).to_list() == [0, 0, 0, 1]
+    # nonzero in dimensions 0 and 2, which are not adjacent
+    point_and_sphere = SimplicialComplex.from_maximal(TETRAHEDRON + [(9,)])
+    assert point_and_sphere.betti_reduced(_use_core=False).to_list() == [0, 1, 0, 1]
+    p8 = Pseudograph(range(1, 9), [(i, i + 1, None) for i in range(1, 8)])
+    total = IntPolynomial.zero()
+    for c in even_collections(p8):
+        total = total + from_betti_suspended(odd_tube_complex(p8, c).betti_reduced())
+    assert total.to_list() == [1, 7, 20, 28, 14]  # Henderson's b_i(P8)

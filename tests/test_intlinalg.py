@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubings._intlinalg import gf2_rank, rank_int
+from tubings._intlinalg import gf2_basis, gf2_rank, rank_int
 
 
 def rank(rows, seconds=2):
@@ -134,3 +134,51 @@ def test_projective_plane_is_exact_over_rationals():
     assert rank(d2) == 10 == rank_oracle(d2)
     index = {e: i for i, e in enumerate(edges)}
     assert gf2_rank(sum(1 << index[k] for k in r) for r in d2) == 9
+
+
+def gf2_rank_oracle(rows):
+    """Rank over GF(2) by Gauss-Jordan elimination on lists of bits."""
+    width = max((r.bit_length() for r in rows), default=0)
+    m = [[r >> j & 1 for j in range(width)] for r in rows]
+    rank = 0
+    for j in range(width):
+        p = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][j]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def bit_rows(draw):
+    """Up to 12 rows of at most 12 bits, with zero rows, repeats and sums of
+    earlier rows mixed in."""
+    width = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=12))
+    if rows:
+        for _ in range(draw(st.integers(0, 4))):
+            rows.append(draw(st.sampled_from(rows)) ^ draw(st.sampled_from(rows + [0])))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bit_rows())
+def test_gf2_basis_matches_naive_elimination(rows):
+    basis = gf2_basis(rows)
+    rank = gf2_rank_oracle(rows)
+    assert len(basis) == rank == gf2_rank(rows)
+    # each pivot is a single bit, the lowest of the row it keys
+    for pivot, row in basis.items():
+        assert pivot == row & -row and pivot.bit_count() == 1
+    assert len({row & -row for row in basis.values()}) == len(basis)
+    # every input row reduces to zero against the basis ...
+    for row in rows:
+        while row and row & -row in basis:
+            row ^= basis[row & -row]
+        assert row == 0
+    # ... and the basis lies in the span of the input
+    assert gf2_rank_oracle(rows + list(basis.values())) == rank

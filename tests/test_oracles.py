@@ -1,0 +1,116 @@
+"""Both Poincaré routes against closed forms and a recursion from the
+literature, each written out here.
+
+A wrong Betti kernel moves the brute route and the reduced route alike, so
+`cross_check` cannot see it; these oracles compute no homology at all.
+"""
+
+import itertools
+import random
+from math import comb
+
+import pytest
+
+from tubings import Pseudograph, poincare_brute, poincare_reduced
+
+
+def simple_graph(n, pairs):
+    return Pseudograph(range(1, n + 1), [(u, v, None) for u, v in pairs])
+
+
+def both_routes(graph):
+    return poincare_brute(graph).to_list(), poincare_reduced(graph).to_list()
+
+
+def trimmed(values):
+    values = list(values)
+    while values and values[-1] == 0:
+        values.pop()
+    return values
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_paths_have_henderson_betti_numbers(n):
+    # Henderson (2012): the real toric manifold of the path on n nodes
+    expected = trimmed(comb(n, i) - (comb(n, i - 1) if i else 0) for i in range(n // 2 + 1))
+    path = simple_graph(n, [(i, i + 1) for i in range(1, n)])
+    assert both_routes(path) == (expected, expected)
+
+
+# secant numbers E_0, E_2, E_4, E_6, E_8 (Euler zigzag numbers of even index)
+SECANT = [1, 1, 5, 61, 1385]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_complete_graphs_have_henderson_betti_numbers(n):
+    # Henderson (2012): b_i(K_n) = C(n, 2i) E_2i for the real permutohedron
+    expected = [comb(n, 2 * i) * SECANT[i] for i in range(n // 2 + 1)]
+    complete = simple_graph(n, itertools.combinations(range(1, n + 1), 2))
+    assert both_routes(complete) == (expected, expected)
+
+
+def choi_park_betti(n, pairs):
+    """Betti numbers of the real toric manifold of a simple graph on
+    range(1, n + 1) from the Choi-Park signed a-number (J. Math. Soc. Japan,
+    2015): sa(empty) = 1; sa(G) = 0 if a component has an odd number of
+    nodes; sa is multiplicative over components; and a connected even G has
+    sa(G) = -sum of sa(G|I) over its proper induced subgraphs.  Then b_i is
+    the sum of |sa(G|I)| over the node sets I of size 2i."""
+    adj = {v: 0 for v in range(1, n + 1)}
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    memo = {0: 1}
+
+    def components(mask):
+        while mask:
+            comp = frontier = mask & -mask
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                new = adj[b.bit_length() - 1] & mask & ~comp
+                comp |= new
+                frontier |= new
+            mask &= ~comp
+            yield comp
+
+    def sa(mask):
+        if mask not in memo:
+            comps = list(components(mask))
+            if any(c.bit_count() % 2 for c in comps):
+                memo[mask] = 0
+            elif len(comps) > 1:
+                memo[mask] = 1
+                for c in comps:
+                    memo[mask] *= sa(c)
+            else:
+                proper = (sub for sub in range(mask) if sub & ~mask == 0)
+                memo[mask] = -sum(sa(sub) for sub in proper)
+        return memo[mask]
+
+    nodes = [1 << v for v in range(1, n + 1)]
+    return trimmed(
+        sum(abs(sa(sum(s))) for s in itertools.combinations(nodes, 2 * i))
+        for i in range(n // 2 + 1)
+    )
+
+
+def test_choi_park_recursion_on_every_simple_graph_up_to_five_nodes():
+    graphs = 0
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            edges = list(itertools.compress(pairs, chosen))
+            expected = choi_park_betti(n, edges)
+            assert both_routes(simple_graph(n, edges)) == (expected, expected), edges
+            graphs += 1
+    assert graphs == 1099  # disconnected graphs included
+
+
+def test_choi_park_recursion_on_sampled_graphs_of_six_and_seven_nodes():
+    rng = random.Random(20150)
+    for _ in range(60):
+        n = rng.choice((6, 7))
+        edges = [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+        expected = choi_park_betti(n, edges)
+        assert both_routes(simple_graph(n, edges)) == (expected, expected), edges
