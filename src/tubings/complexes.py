@@ -1,11 +1,12 @@
-"""Simplicial complexes with exact reduced homology.
+"""Flag simplicial complexes with exact reduced homology.
 
-Complexes come in two internal representations: *flag* (vertices plus an
-adjacency relation; faces are the cliques) and *explicit* (a pruned list of
-maximal faces).  Betti numbers are rational, after an optional strong
-collapse that deletes dominated vertices; boundary ranks are over GF(2) with
-clearing, and exact integer elimination ranks again only the maps where
-torsion could hide (nonzero mod-2 Betti numbers on both sides).
+A complex is a vertex tuple plus an adjacency relation, and its faces are
+the cliques: the tubing complex is the flag complex of tube compatibility,
+and an order complex the flag complex of comparability.  Betti numbers are
+rational, after an optional strong collapse that deletes dominated
+vertices; boundary ranks are over GF(2) with clearing, and exact integer
+elimination ranks again only the maps where torsion could hide (nonzero
+mod-2 Betti numbers on both sides).
 
 Reduced Betti vectors are indexed from dimension -1, so the empty complex
 (which still contains the empty face) has Betti vector (1,).
@@ -53,9 +54,11 @@ class FaceBudget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit=None):
-        self.limit = default_face_budget() if limit is None else int(limit)
-        if self.limit < 1:
+        if limit is None:
+            limit = default_face_budget()
+        elif type(limit) is not int or limit < 1:
             raise FaceBudgetConfigError(f"face budget {limit!r} is not a positive integer")
+        self.limit = limit
         self.used = 0
 
     def charge(self, n=1):
@@ -128,17 +131,6 @@ class ShellingReport:
     expansions: int
 
 
-def _prune_masks(masks):
-    """Drop masks contained in another mask; deduplicate; sort."""
-    uniq = sorted(set(masks), key=lambda m: (-m.bit_count(), m))
-    kept = []
-    for m in uniq:
-        if not any(m & ~k == 0 for k in kept):
-            kept.append(m)
-    kept.sort()
-    return tuple(kept)
-
-
 def _bits(mask):
     while mask:
         b = mask & -mask
@@ -188,19 +180,17 @@ def _restrict_masks(adj, keep):
 
 
 class SimplicialComplex:
-    """A finite abstract simplicial complex (always containing the empty face)."""
+    """A finite flag complex (always containing the empty face): the faces
+    are the cliques of the adjacency bitmasks ``adj``, one per vertex."""
 
-    __slots__ = ("_vertices", "_index", "_adj", "_max")
+    __slots__ = ("_vertices", "_index", "_adj")
 
-    def __init__(self, vertices, adj=None, max_masks=None):
+    def __init__(self, vertices, adj):
         self._vertices = tuple(vertices)
         self._index = {v: i for i, v in enumerate(self._vertices)}
         if len(self._index) != len(self._vertices):
             raise VertexClashError("duplicate vertices in complex")
-        self._adj = None if adj is None else tuple(adj)
-        self._max = None if max_masks is None else tuple(max_masks)
-        if (self._adj is None) == (self._max is None):
-            raise ValueError("exactly one representation must be supplied")
+        self._adj = tuple(adj)
 
     # -- construction -----------------------------------------------------
 
@@ -215,48 +205,11 @@ class SimplicialComplex:
                 if adjacent(verts[i], verts[j]):
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-        return cls(verts, adj=adj)
+        return cls(verts, adj)
 
     @classmethod
     def flag_from_masks(cls, vertices, masks):
-        return cls(tuple(vertices), adj=list(masks))
-
-    @classmethod
-    def from_maximal(cls, faces, vertices=None):
-        """Complex generated by the given faces (an empty list gives the
-        empty complex, whose only face is the empty set)."""
-        faces = [tuple(f) for f in faces]
-        appearing = []
-        seen = set()
-        for f in faces:
-            for v in f:
-                if v not in seen:
-                    seen.add(v)
-                    appearing.append(v)
-        if vertices is not None:
-            order = [v for v in vertices if v in seen]
-            if len(order) != len(seen):
-                missing = [v for v in appearing if v not in set(order)]
-                raise VertexClashError(f"faces use vertices not listed: {missing!r}")
-        else:
-            try:
-                order = sorted(seen)
-            except TypeError:
-                order = appearing
-        idx = {v: i for i, v in enumerate(order)}
-        masks = []
-        for f in faces:
-            m = 0
-            for v in f:
-                m |= 1 << idx[v]
-            masks.append(m)
-        if not masks:
-            masks = [0]
-        return cls(order, max_masks=_prune_masks(masks))
-
-    @classmethod
-    def empty(cls):
-        return cls.from_maximal([])
+        return cls(vertices, masks)
 
     # -- basic queries ------------------------------------------------------
 
@@ -264,16 +217,11 @@ class SimplicialComplex:
     def vertices(self):
         return self._vertices
 
-    @property
-    def is_flag(self):
-        return self._adj is not None
-
     def n_vertices(self):
         return len(self._vertices)
 
     def __repr__(self):
-        kind = "flag" if self.is_flag else "explicit"
-        return f"SimplicialComplex({kind}, {len(self._vertices)} vertices)"
+        return f"SimplicialComplex(flag, {len(self._vertices)} vertices)"
 
     # -- faces ---------------------------------------------------------------
 
@@ -281,8 +229,6 @@ class SimplicialComplex:
         return tuple(self._vertices[i] for i in _bits(mask))
 
     def maximal_face_masks(self, budget=None):
-        if not self.is_flag:
-            return self._max
         budget = FaceBudget.ensure(budget)
         n = len(self._vertices)
         if n == 0:
@@ -323,61 +269,27 @@ class SimplicialComplex:
         faces.sort(key=lambda f: (len(f), tuple(self._index[v] for v in f)))
         return tuple(faces)
 
-    def _faces_by_dim(self, budget):
-        """List whose d-th entry is the sorted list of d-face masks."""
-        if self.is_flag:
-            return _clique_levels(self._adj, budget)
-        seen = set()
-        for f in self._max:
-            sub = f
-            while True:
-                budget.charge()
-                seen.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
-        seen.discard(0)
-        if not seen:
-            return []
-        by_dim = {}
-        for m in seen:
-            by_dim.setdefault(m.bit_count() - 1, []).append(m)
-        return [sorted(by_dim.get(d, ())) for d in range(max(by_dim) + 1)]
-
     # -- subcomplexes and joins ----------------------------------------------
 
     def induced(self, keep):
-        """Full subcomplex on the kept vertices (same representation)."""
+        """Full subcomplex on the kept vertices."""
         keepset = set(keep)
         order = [v for v in self._vertices if v in keepset]
-        if self.is_flag:
-            old = [self._index[v] for v in order]
-            return SimplicialComplex(order, adj=_restrict_masks(self._adj, old))
-        keep_mask = 0
-        for v in order:
-            keep_mask |= 1 << self._index[v]
-        faces = [self._mask_to_face(m & keep_mask) for m in self._max]
-        return SimplicialComplex.from_maximal(faces, vertices=order)
+        old = [self._index[v] for v in order]
+        return SimplicialComplex(order, _restrict_masks(self._adj, old))
 
-    def join(self, other, budget=None):
+    def join(self, other):
         """Simplicial join; vertex sets must be disjoint."""
         clash = set(self._vertices) & set(other._vertices)
         if clash:
             raise VertexClashError(f"join with shared vertices: {sorted(map(str, clash))!r}")
-        if self.is_flag and other.is_flag:
-            n1 = len(self._vertices)
-            n2 = len(other._vertices)
-            all1 = (1 << n1) - 1
-            all2 = ((1 << n2) - 1) << n1
-            adj = [m | all2 for m in self._adj]
-            adj += [(m << n1) | all1 for m in other._adj]
-            return SimplicialComplex(self._vertices + other._vertices, adj=adj)
-        faces1 = self.maximal_faces(budget)
-        faces2 = other.maximal_faces(budget)
-        joined = [f1 + f2 for f1 in faces1 for f2 in faces2]
-        return SimplicialComplex.from_maximal(
-            joined, vertices=self._vertices + other._vertices
-        )
+        n1 = len(self._vertices)
+        n2 = len(other._vertices)
+        all1 = (1 << n1) - 1
+        all2 = ((1 << n2) - 1) << n1
+        adj = [m | all2 for m in self._adj]
+        adj += [(m << n1) | all1 for m in other._adj]
+        return SimplicialComplex(self._vertices + other._vertices, adj)
 
     # -- homology ---------------------------------------------------------
 
@@ -412,56 +324,23 @@ class SimplicialComplex:
                         break
         return alive
 
-    def _explicit_core(self):
-        """Maximal-face masks after strong collapse, plus the vertex count."""
-        masks = list(self._max)
-        while True:
-            verts = 0
-            for m in masks:
-                verts |= m
-            removed = False
-            scan = verts
-            while scan:
-                b = scan & -scan
-                scan ^= b
-                inter = None
-                for m in masks:
-                    if m & b:
-                        inter = m if inter is None else inter & m
-                if inter is not None and inter & ~b:
-                    masks = list(_prune_masks([m & ~b for m in masks]))
-                    removed = True
-                    break
-            if not removed:
-                return masks, verts.bit_count()
-
     def betti_reduced(self, budget=None, _use_core=True):
         """Reduced Betti numbers over the rationals, from dimension -1."""
         budget = FaceBudget.ensure(budget)
-        if self.is_flag:
-            adj = self._adj
-            if _use_core and self._vertices:
-                alive = self._flag_core_mask()
-                if alive.bit_count() == 1:
-                    return BettiVector.zeros()
-                if alive.bit_count() < len(self._vertices):
-                    adj = _restrict_masks(adj, list(_bits(alive)))
-            levels = _clique_levels(adj, budget)
-        else:
-            target = self
-            if _use_core:
-                masks, nverts = self._explicit_core()
-                if nverts == 1:
-                    return BettiVector.zeros()
-                target = SimplicialComplex(self._vertices, max_masks=tuple(masks))
-            levels = target._faces_by_dim(budget)
-        return _betti_from_levels(levels)
+        adj = self._adj
+        if _use_core and self._vertices:
+            alive = self._flag_core_mask()
+            if alive.bit_count() == 1:
+                return BettiVector.zeros()
+            if alive.bit_count() < len(self._vertices):
+                adj = _restrict_masks(adj, list(_bits(alive)))
+        return _betti_from_levels(_clique_levels(adj, budget))
 
     def euler_reduced(self, budget=None):
         """Alternating face-count sum minus one (no collapse, direct count)."""
         budget = FaceBudget.ensure(budget)
         total = -1
-        for d, level in enumerate(self._faces_by_dim(budget)):
+        for d, level in enumerate(_clique_levels(self._adj, budget)):
             total += len(level) if d % 2 == 0 else -len(level)
         return total
 

@@ -169,9 +169,6 @@ class Pseudograph:
         """Nodes (ascending) followed by bundle labels (lexicographic)."""
         return self._ground
 
-    def ground_set(self):
-        return frozenset(self._ground)
-
     def ground_index(self):
         return self._ground_index
 

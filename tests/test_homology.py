@@ -26,32 +26,47 @@ from tubings.complexes import _clique_levels
 from tubings.errors import FaceBudgetConfigError
 
 
+def not_opposite(u, v):
+    """Vertices 2i and 2i + 1 are opposite; every other pair is adjacent."""
+    return v != u ^ 1
+
+
 def sphere(n):
-    """Boundary of the (n+1)-simplex: a combinatorial n-sphere."""
-    verts = range(n + 2)
-    return SimplicialComplex.from_maximal(
-        [f for f in itertools.combinations(verts, n + 1)]
-    )
+    """Boundary of the (n+1)-dimensional cross-polytope, the join of n + 1
+    copies of S^0: a flag n-sphere on 2n + 2 vertices."""
+    return SimplicialComplex.flag(range(2 * n + 2), not_opposite)
 
 
 def octahedron():
-    opposite = {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
-    return SimplicialComplex.flag(range(6), lambda u, v: opposite[u] != v)
+    return sphere(2)
 
 
-def random_complex(rng, max_vertices=6, max_faces=5):
-    verts = range(rng.randint(1, max_vertices))
-    faces = []
-    for _ in range(rng.randint(1, max_faces)):
-        size = rng.randint(1, min(4, len(verts)))
-        faces.append(tuple(rng.sample(list(verts), size)))
-    return SimplicialComplex.from_maximal(faces)
+def ball(n):
+    """The cone over sphere(n - 1): a flag n-ball."""
+    return sphere(n - 1).join(points("apex"))
 
 
-def random_flag_complex(rng, n=7, p=0.5):
-    verts = list(range(n))
-    edges = {(u, v) for u, v in itertools.combinations(verts, 2) if rng.random() < p}
-    return SimplicialComplex.flag(verts, lambda u, v: (min(u, v), max(u, v)) in edges)
+def points(*names):
+    """The discrete complex on the given vertices."""
+    return SimplicialComplex.flag(names, lambda u, v: False)
+
+
+def simplex(*names):
+    """The full simplex on the given vertices."""
+    return SimplicialComplex.flag(names, lambda u, v: True)
+
+
+def graph_complex(edges):
+    """Flag complex of the graph with the given edges."""
+    edges = {frozenset(e) for e in edges}
+    verts = sorted(set().union(*edges))
+    return SimplicialComplex.flag(verts, lambda u, v: frozenset((u, v)) in edges)
+
+
+def random_flag_complex(rng, n=7, p=0.5, prefix=""):
+    verts = [f"{prefix}{v}" if prefix else v for v in range(n)]
+    edges = {frozenset(e) for e in itertools.combinations(verts, 2) if rng.random() < p}
+    return SimplicialComplex.flag(verts, lambda u, v: frozenset((u, v)) in edges)
 
 
 def test_betti_vector_trims_and_indexes():
@@ -72,13 +87,13 @@ def test_betti_euler_is_an_integer():
 
 
 def test_known_homology():
-    hollow = SimplicialComplex.from_maximal([(1, 2), (2, 3), (1, 3)])
+    hollow = sphere(1)  # the hollow square
     assert hollow.betti_reduced().to_list() == [0, 0, 1]
-    solid = SimplicialComplex.from_maximal([(1, 2, 3)])
+    solid = simplex(1, 2, 3)
     assert solid.betti_reduced().is_zero()
-    two_points = SimplicialComplex.from_maximal([(1,), (2,)])
+    two_points = points(1, 2)
     assert two_points.betti_reduced().to_list() == [0, 1]
-    assert SimplicialComplex.empty().betti_reduced().to_list() == [1]
+    assert points().betti_reduced().to_list() == [1]
     assert sphere(2).betti_reduced().to_list() == [0, 0, 0, 1]
 
 
@@ -89,20 +104,10 @@ def test_torus_like_flag_complex():
     assert k.euler_reduced() == 1
 
 
-def test_flag_and_explicit_agree():
-    rng = random.Random(2)
-    for _ in range(20):
-        k = random_flag_complex(rng, n=6)
-        explicit = SimplicialComplex.from_maximal(
-            k.maximal_faces(), vertices=k.vertices
-        )
-        assert explicit.betti_reduced() == k.betti_reduced()
-
-
 def test_euler_matches_betti_alternating_sum():
     rng = random.Random(3)
     for _ in range(30):
-        k = random_complex(rng)
+        k = random_flag_complex(rng, n=rng.randint(1, 7))
         assert k.euler_reduced() == k.betti_reduced().euler()
 
 
@@ -111,52 +116,44 @@ def test_strong_collapse_preserves_homology():
     for _ in range(30):
         k = random_flag_complex(rng)
         assert k.betti_reduced(_use_core=True) == k.betti_reduced(_use_core=False)
-    for _ in range(10):
-        k = random_complex(rng)
-        assert k.betti_reduced(_use_core=True) == k.betti_reduced(_use_core=False)
 
 
 def test_join_with_point_is_contractible():
-    cone = sphere(1).join(SimplicialComplex.from_maximal([("p",)]))
+    cone = sphere(1).join(points("p"))
     assert cone.betti_reduced().is_zero()
 
 
 def test_join_of_spheres():
-    s0 = SimplicialComplex.from_maximal([(1,), (2,)])
-    other = SimplicialComplex.from_maximal([("x",), ("y",)])
-    square = s0.join(other)
+    square = points(1, 2).join(points("x", "y"))
     assert square.betti_reduced().to_list() == [0, 0, 1]
-    s2 = square.join(SimplicialComplex.from_maximal([("u",), ("v",)]))
+    s2 = square.join(points("u", "v"))
     assert s2.betti_reduced().to_list() == [0, 0, 0, 1]
 
 
 def test_join_betti_is_suspended_product():
     rng = random.Random(5)
     for trial in range(25):
-        a = random_complex(rng, max_vertices=4, max_faces=3)
-        b = random_complex(rng, max_vertices=4, max_faces=3)
-        renamed = SimplicialComplex.from_maximal(
-            [tuple(f"b{v}" for v in face) for face in b.maximal_faces()]
-        )
-        joined = a.join(renamed)
+        a = random_flag_complex(rng, n=rng.randint(1, 4))
+        b = random_flag_complex(rng, n=rng.randint(1, 4), prefix="b")
+        joined = a.join(b)
         lhs = from_betti_suspended(joined.betti_reduced())
         rhs = from_betti_suspended(a.betti_reduced()) * from_betti_suspended(
-            renamed.betti_reduced()
+            b.betti_reduced()
         )
         assert lhs == rhs, f"trial {trial}"
 
 
 def test_join_rejects_shared_vertices():
-    a = SimplicialComplex.from_maximal([(1, 2)])
     with pytest.raises(VertexClashError):
-        a.join(SimplicialComplex.from_maximal([(2, 3)]))
+        simplex(1, 2).join(simplex(2, 3))
 
 
 def test_induced_subcomplex():
-    k = sphere(1)  # triangle boundary on vertices 0,1,2
-    sub = k.induced([0, 1])
+    k = sphere(1)  # the square 0-2-1-3
+    sub = k.induced([0, 2])
     assert sub.betti_reduced().is_zero()
     assert sub.n_vertices() == 2
+    assert k.induced([1, 0]).betti_reduced().to_list() == [0, 1]
 
 
 @pytest.mark.parametrize("raw", ["abc", "1e6", "", "0", "-5"])
@@ -169,7 +166,7 @@ def test_face_budget_env_must_be_a_positive_integer(monkeypatch, raw):
     assert FaceBudget(7).limit == 7
 
 
-@pytest.mark.parametrize("limit", [0, -3])
+@pytest.mark.parametrize("limit", [0, -3, "abc", 2.5, True])
 def test_face_budget_limit_must_be_positive(limit):
     with pytest.raises(FaceBudgetConfigError) as info:
         FaceBudget(limit)
@@ -186,7 +183,7 @@ def test_face_budget_env_sets_the_default(monkeypatch):
 
 def test_face_budget_enforced():
     # cross-polytope boundary: no vertex dominates another, 3^8 faces
-    big = SimplicialComplex.flag(range(16), lambda u, v: v != u ^ 1)
+    big = sphere(7)
     with pytest.raises(FaceBudgetExceededError):
         big.betti_reduced(FaceBudget(100))
 
@@ -194,15 +191,16 @@ def test_face_budget_enforced():
 def test_shellable_yes_cases():
     rep = sphere(1).shellable()
     assert rep.status == "yes"
-    assert len(rep.order) == 3
-    path = SimplicialComplex.from_maximal([(1, 2), (2, 3), (3, 4)])
+    assert len(rep.order) == 4
+    path = graph_complex([(1, 2), (2, 3), (3, 4)])
     assert path.shellable().status == "yes"
-    nonpure = SimplicialComplex.from_maximal([(1, 2, 3), (3, 4)])
+    nonpure = graph_complex([(1, 2), (1, 3), (2, 3), (3, 4)])
+    assert nonpure.maximal_faces() == ((3, 4), (1, 2, 3))
     assert nonpure.shellable().status == "yes"
 
 
 def test_shellable_no_for_disconnected():
-    rep = SimplicialComplex.from_maximal([(1, 2), (3, 4)]).shellable()
+    rep = graph_complex([(1, 2), (3, 4)]).shellable()
     assert rep.status == "no"
     assert rep.expansions == 0  # rejected before any search
 
@@ -308,6 +306,12 @@ def closure(maximal):
     }
 
 
+def flag_with_faces(n, adjacent):
+    """The flag complex on range(n) and its nonempty faces, listed
+    independently of the complex."""
+    return SimplicialComplex.flag(range(n), adjacent), cliques(n, adjacent)
+
+
 def cliques(n, adjacent):
     """Every nonempty clique of a graph on range(n), grown one vertex at a time."""
     out = []
@@ -335,30 +339,11 @@ def test_flag_betti_matches_full_boundary_ranks(graph, limit):
         assert k.betti_reduced() == expected
 
 
-@st.composite
-def explicit_faces(draw):
-    """1 to 6 faces on at most 8 vertices."""
-    n = draw(st.integers(1, 8))
-    face = st.sets(st.integers(0, n - 1), min_size=1, max_size=n).map(sorted)
-    return draw(st.lists(face, min_size=1, max_size=6))
-
-
-@settings(max_examples=150, deadline=None)
-@given(explicit_faces(), CELL_LIMITS)
-def test_explicit_betti_matches_full_boundary_ranks(maximal, limit):
-    k = SimplicialComplex.from_maximal(maximal)
-    expected = reference_betti(closure(maximal))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "_GF2_MAX_CELLS", limit)
-        assert k.betti_reduced(_use_core=False) == expected
-        assert k.betti_reduced() == expected
-
-
 # six-vertex RP^2: H_1 is Z/2, so over GF(2) it has homology in dimensions 1
-# and 2 and over the rationals none
+# and 2 and over the rationals none.  It is not a flag complex (it has all
+# 15 edges), so the complexes below subdivide it.
 RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
        (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
-TETRAHEDRON = list(itertools.combinations((4, 5, 6, 7), 3))
 
 
 def barycentric_rp2():
@@ -371,17 +356,32 @@ def barycentric_rp2():
 
 
 def rp2():
-    return SimplicialComplex.from_maximal(RP2), closure(RP2)
+    """RP^2 with every edge subdivided at its midpoint, f = (21, 60, 40): each
+    vertex is adjacent to the midpoints of its edges, and two midpoints are
+    adjacent when their edges bound a common triangle."""
+    edges = sorted({e for f in RP2 for e in itertools.combinations(f, 2)})
+    labels = [(v,) for v in range(1, 7)] + edges
+    triangles = {frozenset(f) for f in RP2}
+
+    def adjacent(i, j):
+        a, b = labels[i], labels[j]
+        if len(a) == len(b):
+            return frozenset(a + b) in triangles
+        return set(a) < set(b) or set(b) < set(a)
+
+    return flag_with_faces(len(labels), adjacent)
 
 
 def rp2_joined_with_s0():
-    s0 = SimplicialComplex.from_maximal([(7,), (8,)])
-    return rp2()[0].join(s0), closure([f + p for f in RP2 for p in [(7,), (8,)]])
+    k, faces = rp2()
+    n = k.n_vertices()
+    poles = [(n,), (n + 1,)]
+    return k.join(points(n, n + 1)), faces + poles + [f + p for f in faces for p in poles]
 
 
 def circle_and_sphere():
-    faces = TETRAHEDRON + [(1, 2), (2, 3), (1, 3)]
-    return SimplicialComplex.from_maximal(faces), closure(faces)
+    """The octahedron on vertices 0-5 beside the square on 6-9."""
+    return flag_with_faces(10, lambda u, v: (u < 6) == (v < 6) and not_opposite(u, v))
 
 
 @pytest.mark.parametrize(
@@ -416,10 +416,10 @@ def test_adjacent_mod2_homology_falls_back_to_exact_rank(monkeypatch, build, mod
     [
         # f = (6, 12, 8); the GF(2) ranks of the boundary maps are 5 and 7
         pytest.param(octahedron(), [8, 12 - 7], id="octahedron"),
-        # f = (5, 10, 10, 5); ranks 4, 6 and 4
-        pytest.param(sphere(3), [5, 10 - 4, 10 - 6], id="3-sphere"),
-        # f = (6, 15, 10); ranks 5 and 9 (10 over the rationals)
-        pytest.param(rp2()[0], [10, 15 - 9], id="RP2"),
+        # f = (8, 24, 32, 16); ranks 15, 17 and 7
+        pytest.param(sphere(3), [16, 32 - 15, 24 - 17], id="3-sphere"),
+        # f = (21, 60, 40); ranks 39 (40 over the rationals) and 20
+        pytest.param(rp2()[0], [40, 60 - 39], id="RP2"),
     ],
 )
 def test_clearing_leaves_out_one_row_per_pivot_of_the_map_above(monkeypatch, k, rows):
@@ -438,12 +438,12 @@ def test_clearing_leaves_out_one_row_per_pivot_of_the_map_above(monkeypatch, k, 
 @pytest.mark.parametrize(
     "k, limit, ranked",
     [
-        # the 3-sphere, f = (5, 10, 10, 5): its top map has 5 x 10 cells, and
-        # 6 rows of the next are left after clearing, 6 x 10 cells; below an
-        # exact map nothing is cleared
         pytest.param(sphere(3), 0, ["exact", "exact", "exact"], id="3-sphere, 0"),
-        pytest.param(sphere(3), 50, ["gf2", "exact", "exact"], id="3-sphere, 50"),
-        pytest.param(sphere(3), 60, ["gf2", "gf2", "gf2"], id="3-sphere, 60"),
+        # the 3-ball coned over the octahedron, f = (7, 18, 20, 8): its top map
+        # has 8 x 20 cells, and 12 rows of the next are left after clearing,
+        # 12 x 18 cells; below an exact map nothing is cleared
+        pytest.param(ball(3), 160, ["gf2", "exact", "exact"], id="3-ball, 160"),
+        pytest.param(ball(3), 216, ["gf2", "gf2", "gf2"], id="3-ball, 216"),
         # adjacent nonzero Betti numbers, but the maps are exact already
         pytest.param(circle_and_sphere()[0], 0, ["exact", "exact"], id="circle and 2-sphere, 0"),
     ],
@@ -474,7 +474,9 @@ def test_certified_complexes_never_rank_exactly(monkeypatch):
     monkeypatch.setattr(complexes, "rank_int", refuse)
     assert octahedron().betti_reduced(_use_core=False).to_list() == [0, 0, 0, 1]
     # nonzero in dimensions 0 and 2, which are not adjacent
-    point_and_sphere = SimplicialComplex.from_maximal(TETRAHEDRON + [(9,)])
+    point_and_sphere = SimplicialComplex.flag(
+        range(7), lambda u, v: max(u, v) < 6 and not_opposite(u, v)
+    )
     assert point_and_sphere.betti_reduced(_use_core=False).to_list() == [0, 1, 0, 1]
     p8 = Pseudograph(range(1, 9), [(i, i + 1, None) for i in range(1, 8)])
     total = IntPolynomial.zero()
