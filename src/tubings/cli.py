@@ -50,12 +50,6 @@ def _common_parser():
         help="print machine-readable JSON instead of text",
     )
     common.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="seed for sampled verification (default 0)",
-    )
-    common.add_argument(
         "--face-budget",
         type=int,
         dest="face_budget",
@@ -101,6 +95,7 @@ def build_parser():
         dest="max_collections",
         help="sample at most this many even collections",
     )
+    p.add_argument("--seed", type=int, default=0, help="seed for the sample (default 0)")
 
     p = sub.add_parser("order-complex", parents=[common], help="order complex of a parity poset")
     p.add_argument("graph")
@@ -174,7 +169,7 @@ def _cmd_verify(ns, graph, budget):
     report = cross_check(
         graph,
         budget=budget,
-        seed=getattr(ns, "seed", 0),
+        seed=ns.seed,
         max_collections=ns.max_collections,
     )
     failures = [

@@ -207,10 +207,6 @@ class SimplicialComplex:
                     adj[j] |= 1 << i
         return cls(verts, adj)
 
-    @classmethod
-    def flag_from_masks(cls, vertices, masks):
-        return cls(vertices, masks)
-
     # -- basic queries ------------------------------------------------------
 
     @property

@@ -394,16 +394,14 @@ class Designation:
 
     @classmethod
     def resolve(cls, graph, designation):
-        """Turn a designation argument into a validated instance for ``graph``.
-
-        Accepts ``None`` (canonical choice), a ready-made instance, or a
-        callable mapping a graph to an instance — the callable form lets one
-        choice rule follow a computation across many graphs at once.
-        """
+        """Turn a designation argument into a validated instance for ``graph``:
+        ``None`` gives :meth:`default`, and an instance must name members of
+        ``graph`` itself, one per component and one per bundle.  Anything
+        else raises :class:`GraphError`."""
         if designation is None:
             return cls.default(graph)
-        if callable(designation):
-            return designation(graph).validate(graph)
+        if not isinstance(designation, cls):
+            raise GraphError(f"not a Designation: {designation!r}")
         return designation.validate(graph)
 
 

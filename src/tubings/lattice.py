@@ -114,12 +114,11 @@ def facet_normal(graph, tube, designation=None, matrix=None):
     return tuple(total)
 
 
-def tube_incidence_matrix(graph, budget=None, system=None):
+def tube_incidence_matrix(graph, budget=None):
     """0/1 matrix: ground members against tubes, 1 when the member sits in
     the tube's representation."""
     _require_connected(graph)
-    if system is None:
-        system = TubeSystem(graph, budget)
+    system = TubeSystem(graph, budget)
     rows = graph.ground_members()
     cols = tuple(t.name() for t in system.tubes)
     entries = []
@@ -131,12 +130,9 @@ def tube_incidence_matrix(graph, budget=None, system=None):
     return LabeledMatrix(rows, cols, entries)
 
 
-def _characteristic_row_masks(graph, designation=None, budget=None, system=None):
-    """Rows of the characteristic matrix as bitmasks over tube columns."""
-    _require_connected(graph)
-    if system is None:
-        system = TubeSystem(graph, budget)
-    d = Designation.resolve(graph, designation)
+def _characteristic_row_masks(graph, d, system):
+    """Rows of the characteristic matrix for the resolved designation ``d``,
+    as bitmasks over the tube columns of ``system``."""
     idx = graph.ground_index()
     incidence = []
     for i in range(len(graph.ground_members())):
@@ -155,13 +151,15 @@ def _characteristic_row_masks(graph, designation=None, budget=None, system=None)
             bundle = graph.bundle_of(r)
             partner = next(iter(d.labels & set(bundle.labels)))
         rows.append(incidence[idx[r]] ^ incidence[idx[partner]])
-    return rows, system
+    return rows
 
 
-def characteristic_matrix(graph, designation=None, budget=None, system=None):
+def characteristic_matrix(graph, designation=None, budget=None):
     """GF(2) matrix over restricted ground rows and tube columns."""
-    masks, system = _characteristic_row_masks(graph, designation, budget, system)
+    _require_connected(graph)
+    system = TubeSystem(graph, budget)
     d = Designation.resolve(graph, designation)
+    masks = _characteristic_row_masks(graph, d, system)
     rows = restricted_ground(graph, d)
     cols = tuple(t.name() for t in system.tubes)
     n = len(system.tubes)
@@ -169,17 +167,18 @@ def characteristic_matrix(graph, designation=None, budget=None, system=None):
     return LabeledMatrix(rows, cols, entries)
 
 
-def characteristic_rank(graph, designation=None, budget=None, system=None):
-    masks, _ = _characteristic_row_masks(graph, designation, budget, system)
-    return gf2_rank(masks)
+def characteristic_rank(graph, designation=None, budget=None):
+    _require_connected(graph)
+    system = TubeSystem(graph, budget)
+    d = Designation.resolve(graph, designation)
+    return gf2_rank(_characteristic_row_masks(graph, d, system))
 
 
-def collection_parity_vector(graph, collection, budget=None, system=None):
+def collection_parity_vector(graph, collection, budget=None):
     """Per-tube meet parity with the collection, in tube order."""
     _require_connected(graph)
     _require_subset(graph, collection)
-    if system is None:
-        system = TubeSystem(graph, budget)
+    system = TubeSystem(graph, budget)
     cmask = system.collection_mask(collection)
     return tuple(
         (system.repr_masks[j] & cmask).bit_count() & 1
@@ -203,14 +202,14 @@ class DelzantReport:
     failures: tuple
 
 
-def delzant_check(graph, budget=None, designation=None, system=None):
+def delzant_check(graph, budget=None, designation=None):
     """Verify determinant +-1 for the normal matrix of every maximal
     tubing, plus the expected tubing size and characteristic rank."""
     _require_connected(graph)
     budget = FaceBudget.ensure(budget)
-    if system is None:
-        system = TubeSystem(graph, budget)
-    matrix = normal_generator_matrix(graph, designation)
+    system = TubeSystem(graph, budget)
+    d = Designation.resolve(graph, designation)
+    matrix = normal_generator_matrix(graph, d)
     dim = polytope_dimension(graph)
     failures = []
     sizes = set()
@@ -226,7 +225,7 @@ def delzant_check(graph, budget=None, designation=None, system=None):
         det = det_bareiss(rows)
         if abs(det) != 1:
             failures.append(DelzantFailure(names, f"determinant {det}"))
-    rank = characteristic_rank(graph, designation, budget, system)
+    rank = gf2_rank(_characteristic_row_masks(graph, d, system))
     if rank != dim:
         failures.append(DelzantFailure((), f"characteristic rank {rank} != {dim}"))
     return DelzantReport(

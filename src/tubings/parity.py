@@ -120,8 +120,8 @@ def even_collections(graph, designation=None):
         yield family.collection_at(index)
 
 
-def even_collection_count(graph, designation=None):
-    return _EvenFamily(graph, designation).count()
+def even_collection_count(graph):
+    return _EvenFamily(graph).count()
 
 
 def even_collection_at(graph, index, designation=None):
@@ -217,20 +217,27 @@ def saturated_odd_complex(graph, collection, budget=None, system=None):
 # -- structure of even collections ------------------------------------------
 
 
+def _component_collections(graph, collection):
+    """Split a collection along the components of its touched subgraph."""
+    sub = touched_subgraph(graph, collection)
+    parts = []
+    for comp in sub.component_nodesets():
+        labels = set()
+        for b in sub.bundles:
+            if b.u in comp:
+                labels |= set(b.labels)
+        parts.append(
+            Collection(collection.nodes & comp, collection.labels & frozenset(labels))
+        )
+    return parts
+
+
 def components_all_even(graph, collection):
     """Whether each component of the touched subgraph holds an even share
     of the collection.  Demands an even collection to begin with."""
     if not is_even(graph, collection):
         raise NotEvenError(f"{collection!r} is not an even collection")
-    sub = touched_subgraph(graph, collection)
-    for comp in sub.component_nodesets():
-        total = len(collection.nodes & comp)
-        for b in sub.bundles:
-            if b.u in comp:
-                total += len(collection.labels & set(b.labels))
-        if total % 2:
-            return False
-    return True
+    return all(len(p) % 2 == 0 for p in _component_collections(graph, collection))
 
 
 def is_admissible(graph, collection):

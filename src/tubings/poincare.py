@@ -15,16 +15,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import (
-    Collection,
-    Designation,
-    enumerate_reductions,
-    isomorphism_classes,
-    reduced_graph,
-    touched_subgraph,
-)
+from .graphs import enumerate_reductions, isomorphism_classes, reduced_graph
 from .parity import (
     _EvenFamily,
+    _component_collections,
     admissible_collections,
     collection_orbits,
     components_all_even,
@@ -147,16 +141,15 @@ def clear_caches():
     _A_CACHE.clear()
 
 
-def a_polynomial(graph, budget=None, designation=None):
+def a_polynomial(graph, budget=None):
     """Sum over the graph's admissible collections of the reduced Betti
     polynomials of their odd tube subcomplexes, one term per orbit of
     collections under the graph's automorphisms, times its size."""
-    cacheable = budget is None and designation is None
+    cacheable = budget is None
     if cacheable:
         hit = _A_CACHE.get(graph)
         if hit is not None:
             return hit
-    Designation.resolve(graph, designation)
     total = IntPolynomial.zero()
     if has_admissible(graph):
         system = TubeSystem(graph, budget)
@@ -170,25 +163,20 @@ def a_polynomial(graph, budget=None, designation=None):
     return total
 
 
-def poincare_reduced(graph, budget=None, designation=None):
+def poincare_reduced(graph, budget=None):
     """Poincaré polynomial assembled from a-polynomials of all reductions,
     one per isomorphism class, times its size."""
-    Designation.resolve(graph, designation)
-    # an instance names members of this graph alone; a rule carries over
-    inner = designation if callable(designation) else None
     total = IntPolynomial.zero()
     reductions = (h for h in enumerate_reductions(graph) if has_admissible(h))
     for h, count in isomorphism_classes(reductions):
-        total = total + a_polynomial(h, budget, inner) * count
+        total = total + a_polynomial(h, budget) * count
     return IntPolynomial.one() + total.shift(1)
 
 
-def poincare_brute(graph, budget=None, designation=None, system=None):
+def poincare_brute(graph, budget=None):
     """Poincaré polynomial summed over all even collections directly, one
     term per orbit under the graph's automorphisms, times its size."""
-    Designation.resolve(graph, designation)
-    if system is None:
-        system = TubeSystem(graph, budget)
+    system = TubeSystem(graph, budget)
     total = IntPolynomial.zero()
     for c, weight in collection_orbits(graph):
         complex_ = odd_tube_complex(graph, c, budget=budget, system=system)
@@ -224,21 +212,6 @@ class CrossCheckReport:
     failures: tuple
 
 
-def _component_collections(graph, collection):
-    """Split a collection along the components of its touched subgraph."""
-    sub = touched_subgraph(graph, collection)
-    parts = []
-    for comp in sub.component_nodesets():
-        labels = set()
-        for b in sub.bundles:
-            if b.u in comp:
-                labels |= set(b.labels)
-        parts.append(
-            Collection(collection.nodes & comp, collection.labels & frozenset(labels))
-        )
-    return parts
-
-
 def cross_check(
     graph,
     budget=None,
@@ -253,6 +226,8 @@ def cross_check(
     sample is checked instead and the route comparison (which needs the
     full sum) is skipped.  Returns a :class:`CrossCheckReport` whose
     ``failures`` hold the first offending collection per failed check.
+    ``designation`` orders the even collections, so it picks the sample
+    and which offending collection comes first; no polynomial depends on it.
     """
     chosen = set(ALL_CHECKS if checks is None else checks)
     bad = chosen - set(ALL_CHECKS)
@@ -344,7 +319,7 @@ def cross_check(
     poly_brute = None
     if not sampled and "routes" in chosen:
         poly_brute = brute_total
-        poly_reduced = poincare_reduced(graph, budget, designation)
+        poly_reduced = poincare_reduced(graph, budget)
         if poly_reduced != poly_brute:
             fail("routes", None, f"reduced {poly_reduced} vs brute {poly_brute}")
 

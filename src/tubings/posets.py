@@ -71,7 +71,7 @@ def order_complex(poset):
             if poset.comparable(i, j):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return SimplicialComplex.flag_from_masks(poset.elements, adj)
+    return SimplicialComplex(poset.elements, adj)
 
 
 def mobius_euler(poset):
@@ -113,15 +113,13 @@ def parity_subgraph_poset(
     parity="odd",
     exclude_collection=True,
     budget=None,
-    system=None,
 ):
     """Poset of separated unions of tubes of the given meet parity."""
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', not {parity!r}")
     _require_subset(graph, collection)
     budget = FaceBudget.ensure(budget)
-    if system is None:
-        system = TubeSystem(graph, budget)
+    system = TubeSystem(graph, budget)
     cmask = system.collection_mask(collection)
     want_odd = parity == "odd"
     idxs = [

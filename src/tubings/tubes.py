@@ -272,7 +272,7 @@ class TubeSystem:
     def complex_on(self, tube_indices):
         """Flag complex of compatibility restricted to the given tubes."""
         chosen = list(tube_indices)
-        return SimplicialComplex.flag_from_masks(
+        return SimplicialComplex(
             [self.tubes[t] for t in chosen], _restrict_masks(self.compat_masks, chosen)
         )
 

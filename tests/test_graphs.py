@@ -148,6 +148,8 @@ def test_designation_validation(bundle_path3):
         Designation(frozenset({1}), frozenset()).validate(bundle_path3)
     ok = Designation(frozenset({1}), frozenset({"a"})).validate(bundle_path3)
     assert restricted_ground(bundle_path3, ok) == (2, 3, "b")
+    with pytest.raises(GraphError):
+        restricted_ground(bundle_path3, Designation.first)
 
 
 def test_designation_one_node_per_component():

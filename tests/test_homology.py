@@ -331,7 +331,7 @@ CELL_LIMITS = st.sampled_from([0, 40, 400, complexes._GF2_MAX_CELLS])
 @given(small_graphs(max_vertices=12), CELL_LIMITS)
 def test_flag_betti_matches_full_boundary_ranks(graph, limit):
     n, edges, adj = graph
-    k = SimplicialComplex.flag_from_masks(range(n), adj)
+    k = SimplicialComplex(range(n), adj)
     expected = reference_betti(cliques(n, lambda u, v: (u, v) in edges))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(complexes, "_GF2_MAX_CELLS", limit)

@@ -175,6 +175,12 @@ def test_cli_verify(graph_file, capsys):
     assert payload["collections"] == 3
     assert payload["reduced"] is None
 
+    assert main(["verify", graph_file, "--max-collections", "3", "--seed", "4"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["tubes", graph_file, "--seed", "3"])
+    assert exc.value.code == 2
+
 
 def test_cli_order_complex(graph_file, capsys):
     args = [

@@ -144,7 +144,7 @@ def test_delzant_double_bundle(bundle_path4):
 
 
 def test_delzant_other_designation(bundle_path4):
-    report = delzant_check(bundle_path4, designation=Designation.first)
+    report = delzant_check(bundle_path4, designation=Designation.first(bundle_path4))
     assert report.ok, report.failures
     assert report.tubings_checked == 260
     assert report.characteristic_rank == 5

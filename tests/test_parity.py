@@ -4,6 +4,7 @@ import pytest
 
 from tubings import (
     Collection,
+    Designation,
     HostMismatchError,
     NotEvenError,
     Pseudograph,
@@ -59,6 +60,29 @@ def test_even_enumeration_starts_empty_and_is_a_bijection(bundle_path4):
         assert frozenset(even_collection_at(bundle_path4, i).members()) == frozenset(
             seq[i].members()
         )
+
+
+# a designation that is neither the default nor Designation.first
+HAND_BUILT = {
+    "bundle_path3": ({2}, {"b"}),
+    "bundle_path4": ({2}, {"a", "d"}),
+    "bundle_cycle4": ({3}, {"b"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_designation_sets_only_the_order_of_even_collections(name, request):
+    g = request.getfixturevalue(name)
+    nodes, labels = HAND_BUILT[name]
+    default = list(even_collections(g))
+    others = (Designation.first(g), Designation(frozenset(nodes), frozenset(labels)))
+    for d in (None, *others):
+        seq = list(even_collections(g, d))
+        assert len(seq) == even_collection_count(g) == len(default)
+        assert set(seq) == set(default)
+        for i, c in enumerate(seq):
+            assert even_collection_at(g, i, d) == c
+    assert any(list(even_collections(g, d)) != default for d in others)
 
 
 def test_every_enumerated_collection_is_even(bundle_tree5):

@@ -13,7 +13,9 @@ from tubings import (
     a_polynomial,
     clear_caches,
     cross_check,
+    delzant_check,
     enumerate_reductions,
+    even_collections,
     from_betti_suspended,
     from_betti_tilde,
     poincare_brute,
@@ -202,30 +204,35 @@ def test_a_cache_evicts_the_oldest_entry_at_its_cap(monkeypatch):
 def test_designation_choice_is_invisible(bundle_path3, bundle_cycle4):
     for g in (bundle_path3, bundle_cycle4):
         base = poincare_reduced(g)
-        assert poincare_reduced(g, designation=Designation.first) == base
-        assert poincare_brute(g, designation=Designation.first) == base
-    swapped = Designation(nodes=frozenset({1}), labels=frozenset({"a"}))
-    assert poincare_brute(bundle_path3, designation=swapped).to_list() == [1, 3, 2]
-    assert a_polynomial(bundle_path3, designation=swapped) == a_polynomial(bundle_path3)
+        report = cross_check(g, designation=Designation.first(g))
+        assert report.ok, report.failures
+        assert report.poincare_reduced == report.poincare_brute == base
+    middle = Designation(nodes=frozenset({2}), labels=frozenset({"b"}))
+    report = cross_check(bundle_path3, designation=middle)
+    assert report.ok, report.failures
+    assert report.poincare_brute.to_list() == [1, 3, 2]
 
 
 def test_designation_instance_of_the_graph_is_accepted(bundle_path3, bundle_cycle4):
     for g in (bundle_path3, bundle_cycle4):
         d = Designation.default(g)
-        base = poincare_brute(g)
-        assert poincare_reduced(g, designation=d) == poincare_brute(g, designation=d) == base
+        assert list(even_collections(g, d)) == list(even_collections(g))
+        assert delzant_check(g, designation=d) == delzant_check(g)
         report = cross_check(g, designation=d)
         assert report.ok, report.failures
-        assert report.poincare_reduced == base
+        assert report.poincare_reduced == poincare_brute(g)
 
 
 def test_malformed_designation_still_raises(bundle_path3):
     two_nodes = Designation(nodes=frozenset({1, 2}), labels=frozenset({"a"}))
     no_label = Designation(nodes=frozenset({3}), labels=frozenset())
     for bad in (two_nodes, no_label):
-        for route in (poincare_brute, poincare_reduced, a_polynomial):
-            with pytest.raises(GraphError):
-                route(bundle_path3, FaceBudget(), bad)
+        with pytest.raises(GraphError):
+            cross_check(bundle_path3, designation=bad)
+        with pytest.raises(GraphError):
+            list(even_collections(bundle_path3, bad))
+        with pytest.raises(GraphError):
+            delzant_check(bundle_path3, designation=bad)
 
 
 def test_poincare_at_minus_one_is_the_manifold_euler_characteristic(
