@@ -1,9 +1,12 @@
 """Flag simplicial complexes with exact reduced homology.
 
-A complex is a vertex tuple plus an adjacency relation, and its faces are
-the cliques: the tubing complex is the flag complex of tube compatibility,
-and an order complex the flag complex of comparability.  Betti numbers are
-rational, after an optional strong collapse that deletes dominated
+A complex is a vertex mask over a universe: a vertex tuple plus adjacency
+bitmasks, one per vertex, and its faces are the cliques inside the mask.
+The tubing complex is the flag complex of tube compatibility, and an order
+complex the flag complex of comparability.  Full subcomplexes (the parity
+complexes of one tube system, the core left by a strong collapse) share
+their parent's universe and adjacency and differ only in the mask.  Betti
+numbers are rational, after a strong collapse that deletes dominated
 vertices; boundary ranks are over GF(2) with clearing, and exact integer
 elimination ranks again only the maps where torsion could hide (nonzero
 mod-2 Betti numbers on both sides).
@@ -138,14 +141,14 @@ def _bits(mask):
         mask ^= b
 
 
-def _clique_levels(adj, budget):
-    """Cliques of the graph with adjacency bitmasks ``adj``: a list whose
-    d-th entry is the sorted list of (d+1)-clique masks.  Each clique is
-    charged to the budget once."""
+def _clique_levels(adj, alive, budget):
+    """Cliques of the graph with adjacency bitmasks ``adj`` induced on the
+    vertex mask ``alive``: a list whose d-th entry is the sorted list of
+    (d+1)-clique masks.  Each clique is charged to the budget once."""
     level = []
-    for i, common in enumerate(adj):
+    for i in _bits(alive):
         budget.charge()
-        level.append((1 << i, i, common))
+        level.append((1 << i, i, adj[i] & alive))
     levels = []
     while level:
         levels.append(sorted(m for m, _, _ in level))
@@ -162,35 +165,29 @@ def _clique_levels(adj, budget):
     return levels
 
 
-def _restrict_masks(adj, keep):
-    """Adjacency bitmasks of the subgraph on the indices ``keep``,
-    renumbered in the order given."""
-    new_bit = {1 << k: 1 << i for i, k in enumerate(keep)}
-    keep_mask = sum(new_bit)
-    out = []
-    for k in keep:
-        row = adj[k] & keep_mask
-        m = 0
-        while row:
-            b = row & -row
-            m |= new_bit[b]
-            row ^= b
-        out.append(m)
-    return out
-
-
 class SimplicialComplex:
-    """A finite flag complex (always containing the empty face): the faces
-    are the cliques of the adjacency bitmasks ``adj``, one per vertex."""
+    """A finite flag complex (always containing the empty face): the cliques
+    of the adjacency bitmasks ``adj`` inside a vertex mask, all of
+    ``vertices`` at first; a full subcomplex narrows only the mask, so bit i
+    stays the i-th vertex given."""
 
-    __slots__ = ("_vertices", "_index", "_adj")
+    __slots__ = ("_vertices", "_adj", "_mask")
 
     def __init__(self, vertices, adj):
         self._vertices = tuple(vertices)
-        self._index = {v: i for i, v in enumerate(self._vertices)}
-        if len(self._index) != len(self._vertices):
+        if len(set(self._vertices)) != len(self._vertices):
             raise VertexClashError("duplicate vertices in complex")
         self._adj = tuple(adj)
+        self._mask = (1 << len(self._vertices)) - 1
+
+    def _on(self, mask):
+        """The full subcomplex on the vertex mask ``mask``, sharing this
+        complex's universe and adjacency."""
+        sub = object.__new__(SimplicialComplex)
+        sub._vertices = self._vertices
+        sub._adj = self._adj
+        sub._mask = mask
+        return sub
 
     # -- construction -----------------------------------------------------
 
@@ -211,13 +208,13 @@ class SimplicialComplex:
 
     @property
     def vertices(self):
-        return self._vertices
+        return self._mask_to_face(self._mask)
 
     def n_vertices(self):
-        return len(self._vertices)
+        return self._mask.bit_count()
 
     def __repr__(self):
-        return f"SimplicialComplex(flag, {len(self._vertices)} vertices)"
+        return f"SimplicialComplex(flag, {self.n_vertices()} vertices)"
 
     # -- faces ---------------------------------------------------------------
 
@@ -226,8 +223,7 @@ class SimplicialComplex:
 
     def maximal_face_masks(self, budget=None):
         budget = FaceBudget.ensure(budget)
-        n = len(self._vertices)
-        if n == 0:
+        if not self._mask:
             return (0,)
         adj = self._adj
         out = []
@@ -256,44 +252,46 @@ class SimplicialComplex:
                 p &= ~b
                 x |= b
 
-        expand(0, (1 << n) - 1, 0)
+        expand(0, self._mask, 0)
         return tuple(sorted(out))
 
     def maximal_faces(self, budget=None):
-        masks = self.maximal_face_masks(budget)
-        faces = [self._mask_to_face(m) for m in masks]
-        faces.sort(key=lambda f: (len(f), tuple(self._index[v] for v in f)))
-        return tuple(faces)
+        masks = sorted(
+            self.maximal_face_masks(budget), key=lambda m: (m.bit_count(), tuple(_bits(m)))
+        )
+        return tuple(self._mask_to_face(m) for m in masks)
 
     # -- subcomplexes and joins ----------------------------------------------
 
     def induced(self, keep):
         """Full subcomplex on the kept vertices."""
         keepset = set(keep)
-        order = [v for v in self._vertices if v in keepset]
-        old = [self._index[v] for v in order]
-        return SimplicialComplex(order, _restrict_masks(self._adj, old))
+        keep_mask = sum(1 << i for i, v in enumerate(self._vertices) if v in keepset)
+        return self._on(self._mask & keep_mask)
 
     def join(self, other):
         """Simplicial join; vertex sets must be disjoint."""
-        clash = set(self._vertices) & set(other._vertices)
+        clash = set(self.vertices) & set(other.vertices)
         if clash:
             raise VertexClashError(f"join with shared vertices: {sorted(map(str, clash))!r}")
-        n1 = len(self._vertices)
-        n2 = len(other._vertices)
-        all1 = (1 << n1) - 1
-        all2 = ((1 << n2) - 1) << n1
-        adj = [m | all2 for m in self._adj]
-        adj += [(m << n1) | all1 for m in other._adj]
-        return SimplicialComplex(self._vertices + other._vertices, adj)
+        n1 = len(self._vertices)  # other's universe follows this one
+        mask2 = other._mask << n1
+        adj = [m | mask2 for m in self._adj]
+        adj += [(m << n1) | self._mask for m in other._adj]
+        # the universes may share vertices outside the masks, so the
+        # constructor's check does not apply
+        joined = object.__new__(SimplicialComplex)
+        joined._vertices = self._vertices + other._vertices
+        joined._adj = tuple(adj)
+        joined._mask = self._mask | mask2
+        return joined
 
     # -- homology ---------------------------------------------------------
 
     def _flag_core_mask(self):
         """Alive-vertex mask after repeatedly deleting dominated vertices."""
-        n = len(self._vertices)
         adj = self._adj
-        alive = (1 << n) - 1
+        alive = self._mask
         changed = True
         while changed and alive.bit_count() > 1:
             changed = False
@@ -320,23 +318,19 @@ class SimplicialComplex:
                         break
         return alive
 
-    def betti_reduced(self, budget=None, _use_core=True):
+    def betti_reduced(self, budget=None):
         """Reduced Betti numbers over the rationals, from dimension -1."""
         budget = FaceBudget.ensure(budget)
-        adj = self._adj
-        if _use_core and self._vertices:
-            alive = self._flag_core_mask()
-            if alive.bit_count() == 1:
-                return BettiVector.zeros()
-            if alive.bit_count() < len(self._vertices):
-                adj = _restrict_masks(adj, list(_bits(alive)))
-        return _betti_from_levels(_clique_levels(adj, budget))
+        alive = self._flag_core_mask()
+        if alive.bit_count() == 1:
+            return BettiVector.zeros()
+        return _betti_from_levels(_clique_levels(self._adj, alive, budget))
 
     def euler_reduced(self, budget=None):
         """Alternating face-count sum minus one (no collapse, direct count)."""
         budget = FaceBudget.ensure(budget)
         total = -1
-        for d, level in enumerate(_clique_levels(self._adj, budget)):
+        for d, level in enumerate(_clique_levels(self._adj, self._mask, budget)):
             total += len(level) if d % 2 == 0 else -len(level)
         return total
 

@@ -453,7 +453,6 @@ def enumerate_reductions(graph):
     never included.
     """
     out = []
-    seen = set()
     nodes = graph.nodes
     for r in range(1, len(nodes) + 1):
         for subset in itertools.combinations(nodes, r):
@@ -461,12 +460,8 @@ def enumerate_reductions(graph):
             pairs = [(b.u, b.v) for b in induced.bundles]
             for k in range(len(pairs) + 1):
                 for chosen in itertools.combinations(pairs, k):
-                    h = induced.partial_underlying(chosen)
-                    if h not in seen:
-                        seen.add(h)
-                        out.append(h)
+                    out.append(induced.partial_underlying(chosen))
     return tuple(out)
-
 
 
 # -- symmetry ---------------------------------------------------------------

@@ -51,10 +51,6 @@ class IntPolynomial:
     def one(cls):
         return cls((1,))
 
-    @property
-    def coefficients(self):
-        return self._coeffs
-
     def to_list(self):
         return list(self._coeffs)
 

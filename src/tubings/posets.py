@@ -142,7 +142,7 @@ def parity_subgraph_poset(
 
     target = collection.members()
     elements = []
-    for mask in (m for level in _clique_levels(sep, budget) for m in level):
+    for mask in (m for level in _clique_levels(sep, (1 << k) - 1, budget) for m in level):
         tubes = frozenset(system.tubes[idxs[a]] for a in _bits(mask))
         members = frozenset().union(*(t.representation() for t in tubes))
         if exclude_collection and members == target:

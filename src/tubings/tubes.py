@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import FaceBudget, SimplicialComplex, _restrict_masks
-from .errors import GraphError, HostMismatchError
+from .complexes import FaceBudget, SimplicialComplex
+from .errors import GraphError, HostMismatchError, VertexClashError
 
 
 class Tube:
@@ -194,10 +194,11 @@ def enumerate_tubes(graph, budget=None):
 
 class TubeSystem:
     """Precomputed tube data for one graph: representation bitmasks over the
-    ground set and pairwise compatibility bitmasks.
+    ground set and the tubing complex, whose adjacency is compatibility.
 
     Everything downstream (parity complexes, tubing complexes, normals)
-    reads from one of these instead of recomputing pair relations.
+    reads from one of these instead of recomputing pair relations.  Every
+    complex it builds shares its tubing complex's masks: bit i is tube i.
     """
 
     __slots__ = (
@@ -208,8 +209,8 @@ class TubeSystem:
         "repr_masks",
         "node_masks",
         "neighbor_masks",
-        "compat_masks",
         "_tube_index",
+        "_complex",
     )
 
     def __init__(self, graph, budget=None):
@@ -251,8 +252,8 @@ class TubeSystem:
                 if ok:
                     compat[i] |= 1 << j
                     compat[j] |= 1 << i
-        self.compat_masks = compat
         self._tube_index = {t: i for i, t in enumerate(self.tubes)}
+        self._complex = SimplicialComplex(self.tubes, compat)
 
     def index_of(self, tube):
         return self._tube_index[tube]
@@ -270,14 +271,21 @@ class TubeSystem:
         return bool((self.repr_masks[tube_index] & collection_mask).bit_count() & 1)
 
     def complex_on(self, tube_indices):
-        """Flag complex of compatibility restricted to the given tubes."""
-        chosen = list(tube_indices)
-        return SimplicialComplex(
-            [self.tubes[t] for t in chosen], _restrict_masks(self.compat_masks, chosen)
-        )
+        """Full subcomplex of the tubing complex on the given tubes, in tube
+        order whatever the order of the indices; IndexError for an index
+        outside the tubes, VertexClashError for one given twice."""
+        n = len(self.tubes)
+        mask = 0
+        for i in tube_indices:
+            if not 0 <= i < n:
+                raise IndexError(f"tube index {i} out of range for {n} tubes")
+            if mask >> i & 1:
+                raise VertexClashError(f"tube index {i} given twice")
+            mask |= 1 << i
+        return self._complex._on(mask)
 
     def tubing_complex(self):
-        return self.complex_on(range(len(self.tubes)))
+        return self._complex
 
 
 def tubing_complex(graph, budget=None):

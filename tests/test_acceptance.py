@@ -318,7 +318,8 @@ def test_criterion_9(capsys):
 
 
 def test_criterion_10(bundle_path3, capsys):
-    swapped = Designation(nodes=frozenset({1}), labels=frozenset({"a"}))
+    swapped = Designation(nodes=frozenset({2}), labels=frozenset({"b"}))
+    assert swapped not in (Designation.default(bundle_path3), Designation.first(bundle_path3))
     reports = [
         cross_check(bundle_path3, designation=d)
         for d in (Designation.first(bundle_path3), swapped)

@@ -22,7 +22,7 @@ from tubings import (
 )
 from tubings import complexes
 from tubings._intlinalg import gf2_basis, gf2_rank, rank_int
-from tubings.complexes import _clique_levels
+from tubings.complexes import _betti_from_levels, _clique_levels
 from tubings.errors import FaceBudgetConfigError
 
 
@@ -44,6 +44,12 @@ def octahedron():
 def ball(n):
     """The cone over sphere(n - 1): a flag n-ball."""
     return sphere(n - 1).join(points("apex"))
+
+
+def uncollapsed_betti(k):
+    """Reduced Betti numbers of ``k`` from all its faces, with no strong
+    collapse: the reference the collapsed computation must match."""
+    return _betti_from_levels(_clique_levels(k._adj, k._mask, FaceBudget()))
 
 
 def points(*names):
@@ -115,7 +121,7 @@ def test_strong_collapse_preserves_homology():
     rng = random.Random(4)
     for _ in range(30):
         k = random_flag_complex(rng)
-        assert k.betti_reduced(_use_core=True) == k.betti_reduced(_use_core=False)
+        assert k.betti_reduced() == uncollapsed_betti(k)
 
 
 def test_join_with_point_is_contractible():
@@ -154,6 +160,22 @@ def test_induced_subcomplex():
     assert sub.betti_reduced().is_zero()
     assert sub.n_vertices() == 2
     assert k.induced([1, 0]).betti_reduced().to_list() == [0, 1]
+
+
+def test_subcomplexes_share_the_universe():
+    k = sphere(2)  # the octahedron, opposite pairs (0, 1), (2, 3), (4, 5)
+    equator = k.induced([0, 1, 2, 3, 5])
+    assert equator.vertices == (0, 1, 2, 3, 5)
+    # vertices outside the subcomplex are not brought back
+    assert equator.induced([0, 4, 5]).vertices == (0, 5)
+    assert equator.induced([0, 1, 2, 3]).betti_reduced().to_list() == [0, 0, 1]
+    # two pieces of one universe join as disjoint complexes
+    poles = k.induced([4, 5])
+    square = k.induced([0, 1, 2, 3])
+    assert square.join(poles).betti_reduced() == k.betti_reduced()
+    assert square.join(poles).n_vertices() == 6
+    with pytest.raises(VertexClashError):
+        equator.join(poles)
 
 
 @pytest.mark.parametrize("raw", ["abc", "1e6", "", "0", "-5"])
@@ -259,14 +281,14 @@ def test_clique_levels_match_brute_force_listing(graph):
             break
         brute.append(level)
     budget = FaceBudget(10**6)
-    assert _clique_levels(adj, budget) == brute
+    assert _clique_levels(adj, (1 << n) - 1, budget) == brute
     total = sum(map(len, brute))
     assert budget.used == total
     # a budget is at least 1, so "one less" exists from 2 cliques on
-    _clique_levels(adj, FaceBudget(max(total, 1)))
+    _clique_levels(adj, (1 << n) - 1, FaceBudget(max(total, 1)))
     if total > 1:
         with pytest.raises(FaceBudgetExceededError):
-            _clique_levels(adj, FaceBudget(total - 1))
+            _clique_levels(adj, (1 << n) - 1, FaceBudget(total - 1))
 
 
 # -- Betti numbers against full boundary matrices ---------------------------
@@ -335,7 +357,7 @@ def test_flag_betti_matches_full_boundary_ranks(graph, limit):
     expected = reference_betti(cliques(n, lambda u, v: (u, v) in edges))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(complexes, "_GF2_MAX_CELLS", limit)
-        assert k.betti_reduced(_use_core=False) == expected
+        assert uncollapsed_betti(k) == expected
         assert k.betti_reduced() == expected
 
 
@@ -406,7 +428,7 @@ def test_adjacent_mod2_homology_falls_back_to_exact_rank(monkeypatch, build, mod
         return rank_int(rows)
 
     monkeypatch.setattr(complexes, "rank_int", counted)
-    assert k.betti_reduced(_use_core=False).to_list() == rational
+    assert uncollapsed_betti(k).to_list() == rational
     assert calls
     assert k.betti_reduced().to_list() == rational
 
@@ -431,7 +453,7 @@ def test_clearing_leaves_out_one_row_per_pivot_of_the_map_above(monkeypatch, k, 
         return gf2_basis(rows)
 
     monkeypatch.setattr(complexes, "gf2_basis", recorded)
-    k.betti_reduced(_use_core=False)
+    uncollapsed_betti(k)
     assert sizes == rows  # one map at a time, from the top dimension down
 
 
@@ -449,7 +471,7 @@ def test_clearing_leaves_out_one_row_per_pivot_of_the_map_above(monkeypatch, k, 
     ],
 )
 def test_maps_too_large_for_dense_rows_are_ranked_exactly_once(monkeypatch, k, limit, ranked):
-    expected = k.betti_reduced(_use_core=False)
+    expected = uncollapsed_betti(k)
     calls = []
 
     def gf2(rows):
@@ -463,7 +485,7 @@ def test_maps_too_large_for_dense_rows_are_ranked_exactly_once(monkeypatch, k, l
     monkeypatch.setattr(complexes, "gf2_basis", gf2)
     monkeypatch.setattr(complexes, "rank_int", exact)
     monkeypatch.setattr(complexes, "_GF2_MAX_CELLS", limit)
-    assert k.betti_reduced(_use_core=False) == expected
+    assert uncollapsed_betti(k) == expected
     assert calls == ranked
 
 
@@ -472,12 +494,12 @@ def test_certified_complexes_never_rank_exactly(monkeypatch):
         raise AssertionError("exact rank on a complex the mod-2 ranks certify")
 
     monkeypatch.setattr(complexes, "rank_int", refuse)
-    assert octahedron().betti_reduced(_use_core=False).to_list() == [0, 0, 0, 1]
+    assert uncollapsed_betti(octahedron()).to_list() == [0, 0, 0, 1]
     # nonzero in dimensions 0 and 2, which are not adjacent
     point_and_sphere = SimplicialComplex.flag(
         range(7), lambda u, v: max(u, v) < 6 and not_opposite(u, v)
     )
-    assert point_and_sphere.betti_reduced(_use_core=False).to_list() == [0, 1, 0, 1]
+    assert uncollapsed_betti(point_and_sphere).to_list() == [0, 1, 0, 1]
     p8 = Pseudograph(range(1, 9), [(i, i + 1, None) for i in range(1, 8)])
     total = IntPolynomial.zero()
     for c in even_collections(p8):

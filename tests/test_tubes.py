@@ -12,9 +12,12 @@ from tubings import (
     Pseudograph,
     Tube,
     TubeSystem,
+    VertexClashError,
     compatible,
     enumerate_tubes,
+    even_collections,
     is_tubing,
+    odd_tube_complex,
     tubing_complex,
 )
 
@@ -204,12 +207,43 @@ def test_complex_on_is_the_induced_tubing_complex(data):
     tubes = system.tubes
     idxs = data.draw(st.lists(st.integers(0, len(tubes) - 1), unique=True))
     sub = system.complex_on(idxs)
-    assert sub.vertices == tuple(tubes[i] for i in idxs)
-    for a, i in enumerate(idxs):
-        for b, j in enumerate(idxs):
-            assert bool(sub._adj[a] >> b & 1) == (i != j and compatible(tubes[i], tubes[j]))
     ordered = sorted(idxs)
-    induced = system.tubing_complex().induced([tubes[i] for i in ordered])
-    in_order = system.complex_on(ordered)
-    assert induced.vertices == in_order.vertices
-    assert induced._adj == in_order._adj
+    # the vertices come in tube order, whatever the order of the indices
+    assert sub.vertices == tuple(tubes[i] for i in ordered)
+    assert sub.n_vertices() == len(idxs)
+    # bit i is tube i: the masks are the tube system's own
+    for i in range(len(tubes)):
+        assert bool(sub._mask >> i & 1) == (i in idxs)
+    for i in idxs:
+        for j in idxs:
+            assert bool(sub._adj[i] >> j & 1) == (i != j and compatible(tubes[i], tubes[j]))
+    induced = system.tubing_complex().induced([tubes[i] for i in idxs])
+    assert induced.vertices == sub.vertices
+    assert induced.maximal_faces() == sub.maximal_faces()
+    assert induced.betti_reduced() == sub.betti_reduced()
+
+
+def test_complex_on_rejects_bad_indices():
+    system = SYSTEMS[0]
+    n = len(system.tubes)
+    with pytest.raises(VertexClashError):
+        system.complex_on([0, 1, 0])
+    for bad in (n, -1):
+        with pytest.raises(IndexError):
+            system.complex_on([0, bad])
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_bit_i_of_every_odd_complex_is_tube_i(system):
+    tubes = system.tubes
+    for c in even_collections(system.graph):
+        cmask = system.collection_mask(c)
+        k = odd_tube_complex(system.graph, c, system=system)
+        odd = [i for i in range(len(tubes)) if system.meet_is_odd(i, cmask)]
+        assert k.vertices == tuple(tubes[i] for i in odd)
+        faces = {
+            tuple(tubes[i] for i in range(len(tubes)) if mask >> i & 1)
+            for mask in k.maximal_face_masks()
+        }
+        assert faces == set(k.maximal_faces())
+        assert all(is_tubing(f) and set(f) <= set(k.vertices) for f in faces)
