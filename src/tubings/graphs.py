@@ -51,7 +51,7 @@ def _normalize_edge(edge):
         u, v, label = edge
     else:
         raise GraphError(f"edge {edge!r} must be (u, v) or (u, v, label)")
-    if not isinstance(u, int) or not isinstance(v, int):
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (u, v)):
         raise GraphError(f"edge endpoints must be integers: {edge!r}")
     if u > v:
         u, v = v, u
@@ -73,6 +73,7 @@ class Pseudograph:
         "_key",
         "_hash",
         "_components",
+        "_poincare",  # filled by poincare_reduced on its first call
     )
 
     def __init__(self, nodes=(), edges=()):
@@ -139,6 +140,7 @@ class Pseudograph:
         )
         self._hash = hash(self._key)
         self._components = None
+        self._poincare = None
 
     # -- basic structure ------------------------------------------------
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from .complexes import FaceBudget
 from .errors import HostMismatchError, NotEvenError
 from .graphs import (
     Collection,
@@ -54,10 +55,7 @@ def is_even(graph, collection):
 def meet_parity(tube, collection):
     """'odd' or 'even' size of the tube representation's overlap with the
     collection."""
-    if not collection.issubset_of(tube.host):
-        raise HostMismatchError(
-            f"{collection!r} is not a subset of the host graph's ground set"
-        )
+    _require_subset(tube.host, collection)
     overlap = len(tube.representation() & collection.members())
     return "odd" if overlap % 2 else "even"
 
@@ -337,6 +335,7 @@ def inflation_matches(graph, collection, budget=None, system=None):
     """Check that inflation is an isomorphism from the odd subcomplex of
     the reduced graph onto the saturated odd subcomplex."""
     _require_subset(graph, collection)
+    budget = FaceBudget.ensure(budget)
     gamma = reduced_graph(graph, collection)
     gamma_system = TubeSystem(gamma, budget)
     gamma_odd = [

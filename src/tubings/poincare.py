@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .complexes import FaceBudget
 from .graphs import enumerate_reductions, isomorphism_classes, reduced_graph
 from .parity import (
     _EvenFamily,
@@ -128,50 +129,39 @@ def from_betti_tilde(betti):
     return IntPolynomial(betti.to_list()[1:])
 
 
-# a-polynomials by graph, oldest evicted first once the cap is reached
-_A_CACHE = {}
-_A_CACHE_LIMIT = 4096
-
-
-def clear_caches():
-    _A_CACHE.clear()
-
-
 def a_polynomial(graph, budget=None):
     """Sum over the graph's admissible collections of the reduced Betti
     polynomials of their odd tube subcomplexes, one term per orbit of
     collections under the graph's automorphisms, times its size."""
-    cacheable = budget is None
-    if cacheable:
-        hit = _A_CACHE.get(graph)
-        if hit is not None:
-            return hit
+    budget = FaceBudget.ensure(budget)
     total = IntPolynomial.zero()
     if has_admissible(graph):
         system = TubeSystem(graph, budget)
         for c, weight in collection_orbits(graph, admissible=True):
             complex_ = odd_tube_complex(graph, c, budget=budget, system=system)
             total = total + from_betti_tilde(complex_.betti_reduced(budget)) * weight
-    if cacheable:
-        if len(_A_CACHE) >= _A_CACHE_LIMIT:
-            del _A_CACHE[next(iter(_A_CACHE))]
-        _A_CACHE[graph] = total
     return total
 
 
 def poincare_reduced(graph, budget=None):
     """Poincaré polynomial assembled from a-polynomials of all reductions,
-    one per isomorphism class, times its size."""
-    total = IntPolynomial.zero()
-    reductions = (h for h in enumerate_reductions(graph) if has_admissible(h))
-    for h, count in isomorphism_classes(reductions):
-        total = total + a_polynomial(h, budget) * count
-    return IntPolynomial.one() + total.shift(1)
+    one per isomorphism class, times its size.  The result is kept on the
+    graph, which is immutable, so a second call returns it and charges no
+    faces to its budget."""
+    if graph._poincare is None:
+        budget = FaceBudget.ensure(budget)
+        total = IntPolynomial.zero()
+        reductions = (h for h in enumerate_reductions(graph) if has_admissible(h))
+        for h, count in isomorphism_classes(reductions):
+            total = total + a_polynomial(h, budget) * count
+        graph._poincare = IntPolynomial.one() + total.shift(1)
+    return graph._poincare
 
 
 def poincare_brute(graph, budget=None):
     """Poincaré polynomial summed over all even collections directly, one
     term per orbit under the graph's automorphisms, times its size."""
+    budget = FaceBudget.ensure(budget)
     system = TubeSystem(graph, budget)
     total = IntPolynomial.zero()
     for c, weight in collection_orbits(graph):
@@ -231,6 +221,7 @@ def cross_check(
         raise ValueError(f"unknown checks: {sorted(bad)}")
     if max_collections is not None and max_collections < 1:
         raise ValueError(f"max_collections must be at least 1, got {max_collections}")
+    budget = FaceBudget.ensure(budget)
     system = TubeSystem(graph, budget)
     family = _EvenFamily(graph, designation)
     total = family.count()

@@ -209,7 +209,6 @@ class TubeSystem:
         "repr_masks",
         "node_masks",
         "neighbor_masks",
-        "_tube_index",
         "_complex",
     )
 
@@ -252,11 +251,7 @@ class TubeSystem:
                 if ok:
                     compat[i] |= 1 << j
                     compat[j] |= 1 << i
-        self._tube_index = {t: i for i, t in enumerate(self.tubes)}
         self._complex = SimplicialComplex(self.tubes, compat)
-
-    def index_of(self, tube):
-        return self._tube_index[tube]
 
     def member_mask(self, members):
         m = 0

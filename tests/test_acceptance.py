@@ -17,7 +17,6 @@ from tubings import (
     Pseudograph,
     SimplicialComplex,
     a_polynomial,
-    clear_caches,
     confined_odd_complex,
     cross_check,
     enumerate_reductions,
@@ -48,7 +47,6 @@ def complete_graph_with_bundle(labels):
 
 
 def test_criterion_1(bundle_path3, capsys):
-    clear_caches()
     start = time.perf_counter()
     reduced = poincare_reduced(bundle_path3)
     brute = poincare_brute(bundle_path3)

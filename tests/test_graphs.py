@@ -47,6 +47,15 @@ def test_rejects_bad_node_ids(bad):
         Pseudograph([bad], [])
 
 
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [([True, 2], []), ([1, 2], [(True, 2)]), ([1, 2], [(2, True, None)])],
+)
+def test_rejects_bool_node_ids_in_nodes_and_in_edges(nodes, edges):
+    with pytest.raises(GraphError, match="integers"):
+        Pseudograph(nodes, edges)
+
+
 @pytest.mark.parametrize("label", ["9a", "a b", "", "a-b"])
 def test_rejects_bad_labels(label):
     with pytest.raises(GraphError):

@@ -1,5 +1,5 @@
-"""Both Poincaré routes against closed forms and a recursion from the
-literature, each written out here.
+"""Both Poincaré routes, and the a-polynomials they sum, against closed
+forms and a recursion from the literature, each written out here.
 
 A wrong Betti kernel moves the brute route and the reduced route alike, so
 `cross_check` cannot see it; these oracles compute no homology at all.
@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from tubings import Pseudograph, poincare_brute, poincare_reduced
+from tubings import Pseudograph, a_polynomial, poincare_brute, poincare_reduced
 
 
 def simple_graph(n, pairs):
@@ -47,6 +47,34 @@ def test_complete_graphs_have_henderson_betti_numbers(n):
     expected = [comb(n, 2 * i) * SECANT[i] for i in range(n // 2 + 1)]
     complete = simple_graph(n, itertools.combinations(range(1, n + 1), 2))
     assert both_routes(complete) == (expected, expected)
+
+
+# tangent numbers E_1, E_3, E_5, E_7 (Euler zigzag numbers of odd index)
+TANGENT = [1, 2, 16, 272]
+
+# (name, node count 2k, edges, a-number): the path, the complete graph, the
+# star K_1,2k-1 and, from 2k = 4 on, the cycle.  K10 and K_1,9 are left out:
+# they take 47 s and 19 s.
+A_NUMBERS = []
+for k in range(1, 6):
+    n = 2 * k
+    A_NUMBERS.append((f"P{n}", n, [(i, i + 1) for i in range(1, n)], comb(n, k) // (k + 1)))
+    if k < 5:
+        A_NUMBERS.append((f"K{n}", n, list(itertools.combinations(range(1, n + 1), 2)), SECANT[k]))
+        A_NUMBERS.append((f"K1,{n - 1}", n, [(1, v) for v in range(2, n + 1)], TANGENT[k - 1]))
+    if k > 1:
+        A_NUMBERS.append((f"C{n}", n, [(i, i % n + 1) for i in range(1, n + 1)], comb(n - 1, k)))
+
+
+@pytest.mark.parametrize(
+    "n, pairs, a", [case[1:] for case in A_NUMBERS], ids=[case[0] for case in A_NUMBERS]
+)
+def test_a_polynomials_are_the_choi_park_a_numbers(n, pairs, a):
+    # Choi-Park (2015): the a-polynomial of a graph on 2k nodes is a t^(k-1),
+    # with a the Catalan number for P_2k, E_2k for K_2k, E_2k-1 for K_1,2k-1
+    # and C(2k-1, k) for C_2k
+    k = n // 2
+    assert a_polynomial(simple_graph(n, pairs)).to_list() == [0] * (k - 1) + [a]
 
 
 def choi_park_betti(n, pairs):

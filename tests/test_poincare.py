@@ -7,11 +7,11 @@ from tubings import (
     BettiVector,
     Designation,
     FaceBudget,
+    FaceBudgetExceededError,
     GraphError,
     IntPolynomial,
     Pseudograph,
     a_polynomial,
-    clear_caches,
     cross_check,
     delzant_check,
     enumerate_reductions,
@@ -22,7 +22,6 @@ from tubings import (
     poincare_reduced,
     polytope_dimension,
 )
-from tubings import poincare
 
 
 def test_polynomial_strings():
@@ -60,7 +59,6 @@ def test_betti_to_polynomial():
 
 
 def test_bundle_path_both_routes(bundle_path3):
-    clear_caches()
     assert poincare_reduced(bundle_path3).to_list() == [1, 3, 2]
     assert poincare_brute(bundle_path3).to_list() == [1, 3, 2]
 
@@ -174,31 +172,38 @@ def test_disjoint_union_product_law(bundle_path3):
     assert a_polynomial(union) == (a_polynomial(g) * a_polynomial(extra)).shift(1)
 
 
-def test_cache_round_trip(bundle_path3):
-    clear_caches()
-    first = a_polynomial(bundle_path3)
-    assert a_polynomial(bundle_path3) is first
-    clear_caches()
-    assert a_polynomial(bundle_path3) == first
+def test_poincare_reduced_memo_lives_on_the_graph(bundle_path3):
+    def fresh():
+        return Pseudograph(list(bundle_path3.nodes), list(bundle_path3.edges))
+
+    first = poincare_reduced(bundle_path3)
+    assert poincare_reduced(bundle_path3) is first
+    twin = fresh()
+    assert twin == bundle_path3
+    assert poincare_reduced(twin) == first
+    assert poincare_reduced(twin) is not first
+    # a hit enumerates no faces, so it charges none
+    assert poincare_reduced(bundle_path3, FaceBudget(1)) is first
+    with pytest.raises(FaceBudgetExceededError):
+        poincare_reduced(fresh(), FaceBudget(1))
 
 
-def test_a_cache_evicts_the_oldest_entry_at_its_cap(monkeypatch):
-    monkeypatch.setattr(poincare, "_A_CACHE_LIMIT", 3)
-    clear_caches()
-    graphs = [
-        Pseudograph([k + 1, k + 2, k + 3], [(k + 1, k + 2, None), (k + 2, k + 3, None)])
-        for k in range(0, 50, 10)
-    ] + [Pseudograph([1, 2], [(1, 2, "a"), (1, 2, "b")])]
-    expected = [a_polynomial(g, FaceBudget()) for g in graphs]  # bypasses the cache
-    assert not poincare._A_CACHE
-    for g, want in zip(graphs, expected):
-        assert a_polynomial(g) == want
-        assert len(poincare._A_CACHE) <= 3
-    assert list(poincare._A_CACHE) == graphs[-3:]
-    for g, want in zip(graphs, expected):
-        assert a_polynomial(g) == want
-    clear_caches()
-    assert not poincare._A_CACHE
+@pytest.mark.parametrize("route", [poincare_brute, poincare_reduced, a_polynomial, cross_check])
+@pytest.mark.parametrize(
+    "limit, make",
+    [
+        ("13", lambda: Pseudograph([1, 2, 3], [(1, 2, "a"), (1, 2, "b"), (2, 3, None)])),
+        ("146", lambda: Pseudograph(range(1, 7), [(i, i + 1, None) for i in range(1, 6)])),
+    ],
+)
+def test_no_budget_is_one_default_budget_for_the_whole_call(monkeypatch, route, limit, make):
+    """budget=None caps the whole call, as one FaceBudget() passed in does;
+    each call gets a fresh graph, so no memo answers it."""
+    monkeypatch.setenv("TUBINGS_FACE_BUDGET", limit)
+    with pytest.raises(FaceBudgetExceededError):
+        route(make(), FaceBudget())
+    with pytest.raises(FaceBudgetExceededError):
+        route(make())
 
 
 def test_designation_choice_is_invisible(bundle_path3, bundle_cycle4):

@@ -153,7 +153,7 @@ def test_tube_system_indexing(bundle_path3):
     sys = TubeSystem(bundle_path3)
     assert len(sys.tubes) == 9
     t = Tube(bundle_path3, [1, 2], ["a", "b"])
-    i = sys.index_of(t)
+    i = sys.tubes.index(t)
     assert sys.tubes[i] == t
     # representation masks track the declared member order
     mask = sys.repr_masks[i]
