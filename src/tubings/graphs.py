@@ -73,6 +73,7 @@ class Pseudograph:
         "_key",
         "_hash",
         "_components",
+        "_neighbour_masks",  # filled by _split on its first call
         "_poincare",  # filled by poincare_reduced on its first call
     )
 
@@ -140,6 +141,7 @@ class Pseudograph:
         )
         self._hash = hash(self._key)
         self._components = None
+        self._neighbour_masks = None
         self._poincare = None
 
     # -- basic structure ------------------------------------------------
@@ -199,24 +201,16 @@ class Pseudograph:
     def component_nodesets(self):
         """Connected components as frozensets of nodes, ordered by min node."""
         if self._components is None:
-            seen = set()
-            comps = []
-            for start in self._nodes:
-                if start in seen:
-                    continue
-                stack = [start]
-                comp = {start}
-                seen.add(start)
-                while stack:
-                    cur = stack.pop()
-                    for nxt in self._adjacency[cur]:
-                        if nxt not in comp:
-                            comp.add(nxt)
-                            seen.add(nxt)
-                            stack.append(nxt)
-                comps.append(frozenset(comp))
-            self._components = tuple(comps)
+            self._components = self._components_within(self._nodes)
         return self._components
+
+    def _components_within(self, node_subset):
+        """Components of the subgraph induced on the given nodes, as
+        frozensets ordered by min node."""
+        return tuple(
+            frozenset(n for i, n in enumerate(self._nodes) if comp >> i & 1)
+            for comp in _split(self, node_subset)
+        )
 
     def is_connected(self):
         return len(self.component_nodesets()) == 1
@@ -232,8 +226,7 @@ class Pseudograph:
         unknown = subset - set(self._nodes)
         if unknown:
             raise UnknownNodeError(f"nodes {sorted(unknown)} are not in the graph")
-        edges = [e for e in self._edges if e[0] in subset and e[1] in subset]
-        return Pseudograph(subset, edges)
+        return _reduction(self, subset, ())
 
     def partial_underlying(self, collapse_pairs):
         """Replace each listed bundle by a single unlabelled edge.
@@ -242,25 +235,14 @@ class Pseudograph:
         bundle of this graph.  The labels of a collapsed bundle disappear
         entirely.
         """
-        wanted = set()
-        bundle_pairs = {(b.u, b.v) for b in self._bundles}
-        for pair in collapse_pairs:
-            u, v = pair
-            if u > v:
-                u, v = v, u
-            if (u, v) not in bundle_pairs:
+        bundles = {(b.u, b.v): b for b in self._bundles}
+        collapsed = []
+        for u, v in collapse_pairs:
+            u, v = min(u, v), max(u, v)
+            if (u, v) not in bundles:
                 raise UnknownBundleError(f"({u}, {v}) is not a bundle of this graph")
-            wanted.add((u, v))
-        edges = []
-        done = set()
-        for u, v, lab in self._edges:
-            if (u, v) in wanted:
-                if (u, v) not in done:
-                    done.add((u, v))
-                    edges.append((u, v, None))
-            else:
-                edges.append((u, v, lab))
-        return Pseudograph(self._nodes, edges)
+            collapsed.append(bundles[u, v])
+        return _reduction(self, self._nodes, collapsed)
 
     # -- identity ---------------------------------------------------------
 
@@ -343,7 +325,7 @@ class Collection:
         return not self.nodes and not self.labels
 
     def issubset_of(self, graph):
-        return self.nodes <= set(graph.nodes) and self.labels <= set(graph.bundle_labels)
+        return graph._adjacency.keys() >= self.nodes and graph._bundle_by_label.keys() >= self.labels
 
     def sort_key(self):
         return (tuple(sorted(self.nodes)), tuple(sorted(self.labels)))
@@ -440,11 +422,61 @@ def touched_subgraph(graph, collection):
 def reduced_graph(graph, collection):
     """Touched subgraph with every bundle that misses the collection
     collapsed to a single unlabelled edge."""
-    sub = touched_subgraph(graph, collection)
-    collapse = [
-        (b.u, b.v) for b in sub.bundles if not (set(b.labels) & collection.labels)
-    ]
-    return sub.partial_underlying(collapse)
+    collapsed = [b for b in graph.bundles if collection.labels.isdisjoint(b.labels)]
+    return _reduction(graph, touched_nodes(graph, collection), collapsed)
+
+
+def _reduction(graph, nodes, collapsed):
+    """The subgraph induced on ``nodes`` with each bundle in ``collapsed``
+    that lies inside it made one unlabelled edge."""
+    gone = {(b.u, b.v) for b in collapsed if b.u in nodes and b.v in nodes}
+    edges = [e for e in graph.edges if e[0] in nodes and e[1] in nodes and e[:2] not in gone]
+    return Pseudograph(nodes, edges + list(gone))
+
+
+def _reduction_keys(graph):
+    """Every reduction as a key (nodes, collapsed): a nonempty tuple of
+    nodes in graph order, by size and then lexicographically, and a tuple
+    of the bundles inside it to collapse, by size and then in order."""
+    for r in range(1, len(graph.nodes) + 1):
+        for nodes in itertools.combinations(graph.nodes, r):
+            inside = [b for b in graph.bundles if b.u in nodes and b.v in nodes]
+            for k in range(len(inside) + 1):
+                for collapsed in itertools.combinations(inside, k):
+                    yield nodes, collapsed
+
+
+def _split(graph, nodes):
+    """The components of the subgraph induced on ``nodes``, as node
+    bitmasks (bit i is ``graph.nodes[i]``), least node first."""
+    index = graph._ground_index
+    if graph._neighbour_masks is None:
+        graph._neighbour_masks = tuple(
+            sum(1 << index[w] for w in graph._adjacency[n]) for n in graph._nodes
+        )
+    nbr, mask, comps = graph._neighbour_masks, sum(1 << index[n] for n in nodes), []
+    while mask:
+        comp = grow = mask & -mask
+        while grow:
+            low = grow & -grow
+            new = nbr[low.bit_length() - 1] & mask & ~comp
+            comp |= new
+            grow = grow ^ low | new
+        comps.append(comp)
+        mask ^= comp
+    return comps
+
+
+def _admits(graph, nodes, collapsed=()):
+    """Whether the reduction (nodes, collapsed) has an admissible
+    collection: every component holds an end of a bundle left uncollapsed,
+    or an even number of nodes."""
+    index = graph._ground_index
+    ends = 0
+    for b in graph.bundles:
+        if b.u in nodes and b.v in nodes and b not in collapsed:
+            ends |= 1 << index[b.u] | 1 << index[b.v]
+    return all(comp & ends or not comp.bit_count() & 1 for comp in _split(graph, nodes))
 
 
 def enumerate_reductions(graph):
@@ -454,31 +486,37 @@ def enumerate_reductions(graph):
     Results are deterministic and pairwise distinct; the empty graph is
     never included.
     """
-    out = []
-    nodes = graph.nodes
-    for r in range(1, len(nodes) + 1):
-        for subset in itertools.combinations(nodes, r):
-            induced = graph.induced_subgraph(subset)
-            pairs = [(b.u, b.v) for b in induced.bundles]
-            for k in range(len(pairs) + 1):
-                for chosen in itertools.combinations(pairs, k):
-                    out.append(induced.partial_underlying(chosen))
-    return tuple(out)
+    return tuple(_reduction(graph, *key) for key in _reduction_keys(graph))
+
+
+def admissible_reduction_classes(graph):
+    """:func:`isomorphism_classes` of the reductions that have an admissible
+    collection, a graph built only for the first member of each class."""
+    keys = (key for key in _reduction_keys(graph) if _admits(graph, *key))
+    classes = _classes((key, _multiplicities(graph, *key)) for key in keys)
+    return [(_reduction(graph, *key), count) for key, count in classes]
 
 
 # -- symmetry ---------------------------------------------------------------
 
 
-def _multiplicities(graph, offset=0):
-    """Per node in order, {neighbour: multiplicity}, numbered from ``offset``:
-    1 for a plain edge, |b| for a bundle b.  A node map keeping every
-    multiplicity is an isomorphism; labels in a bundle follow in any order."""
-    index = {v: i + offset for i, v in enumerate(graph.nodes)}
-    rows = [{} for _ in graph.nodes]
+def _multiplicities(graph, nodes, collapsed=()):
+    """Per node of the reduction (nodes, collapsed), in the order given,
+    {neighbour's position: multiplicity}: 1 for a plain edge or a collapsed
+    bundle, |b| for a bundle b.  A node map keeping every multiplicity is an
+    isomorphism; labels in a bundle follow in any order."""
+    index = {n: i for i, n in enumerate(nodes)}
+    gone = {(b.u, b.v) for b in collapsed}
+    rows = [{} for _ in nodes]
     for u, v, _ in graph.edges:
-        for a, b in ((index[u], index[v]), (index[v], index[u])):
-            rows[a - offset][b] = rows[a - offset].get(b, 0) + 1
+        if u in index and v in index:
+            a, b = index[u], index[v]
+            rows[a][b] = rows[b][a] = 1 if (u, v) in gone else rows[a].get(b, 0) + 1
     return rows
+
+
+def _shifted(rows, offset):
+    return [{w + offset: m for w, m in row.items()} for row in rows]
 
 
 def _refine(rows, colours, n):
@@ -525,24 +563,29 @@ def _match(rows, colours, n):
     return None
 
 
-def isomorphism_classes(graphs):
-    """The graphs up to isomorphism, as (representative, count) pairs.  Two
-    graphs meet only when their nodes' sorted multiplicities agree (one
-    round of colour refinement) and a node map, checked on every pair,
-    takes one onto the other."""
+def _classes(items):
+    """(item, multiplicity rows) pairs up to isomorphism of the rows, as
+    (first item, count) pairs.  Two meet only when their nodes' sorted
+    multiplicities agree (one round of colour refinement) and the identity
+    map (equal rows) or a node map, checked on every pair, takes one onto
+    the other."""
     buckets = {}
-    for g in graphs:
-        rows = _multiplicities(g)
+    for item, rows in items:
         bucket = buckets.setdefault(tuple(sorted(tuple(sorted(r.values())) for r in rows)), [])
         n = len(rows)
-        shifted = _multiplicities(g, n)
         for entry in bucket:
-            if _match(entry[2] + shifted, [0] * 2 * n, n) is not None:
+            if entry[2] == rows or _match(entry[2] + _shifted(rows, n), [0] * 2 * n, n) is not None:
                 entry[1] += 1
                 break
         else:
-            bucket.append([g, 1, rows])
-    return [(g, count) for bucket in buckets.values() for g, count, _ in bucket]
+            bucket.append([item, 1, rows])
+    return [(item, count) for bucket in buckets.values() for item, count, _ in bucket]
+
+
+def isomorphism_classes(graphs):
+    """The graphs up to isomorphism, as (representative, count) pairs, each
+    class represented by its first graph."""
+    return _classes((g, _multiplicities(g, g.nodes)) for g in graphs)
 
 
 def automorphism_generators(graph):
@@ -555,7 +598,8 @@ def automorphism_generators(graph):
     that x can reach and that the automorphisms found so far do not.
     """
     nodes, n = graph.nodes, len(graph.nodes)
-    rows = _multiplicities(graph) + _multiplicities(graph, n)
+    rows = _multiplicities(graph, nodes)
+    rows += _shifted(rows, n)
     colours, chain, found = [0] * (2 * n), [], []
     while True:
         colours, _, (left, right) = _refine(rows, colours, n)

@@ -24,11 +24,11 @@ from .errors import HostMismatchError, NotEvenError
 from .graphs import (
     Collection,
     Designation,
+    _admits,
     automorphism_generators,
     reduced_graph,
     restricted_ground,
     touched_nodes,
-    touched_subgraph,
 )
 from .tubes import Tube, TubeSystem, compatible
 
@@ -131,9 +131,7 @@ def even_collection_at(graph, index, designation=None):
 
 def _odd_indices(system, collection):
     cmask = system.collection_mask(collection)
-    return [
-        i for i in range(len(system.tubes)) if system.meet_is_odd(i, cmask)
-    ]
+    return [i for i, rm in enumerate(system.repr_masks) if (rm & cmask).bit_count() & 1]
 
 
 def odd_tube_complex(graph, collection, budget=None, system=None):
@@ -177,11 +175,10 @@ def confined_odd_complex(graph, collection, budget=None, system=None):
 
 
 def _saturated_indices(system, collection):
-    graph = system.graph
-    sub = touched_subgraph(graph, collection)
+    touched = touched_nodes(system.graph, collection)
     constraints = []
-    for b in sub.bundles:
-        if collection.labels & set(b.labels):
+    for b in system.graph.bundles:
+        if b.u not in touched or b.v not in touched or not collection.labels.isdisjoint(b.labels):
             continue
         ends = system.member_mask((b.u, b.v))
         labs = system.member_mask(b.labels)
@@ -217,17 +214,13 @@ def saturated_odd_complex(graph, collection, budget=None, system=None):
 
 def _component_collections(graph, collection):
     """Split a collection along the components of its touched subgraph."""
-    sub = touched_subgraph(graph, collection)
-    parts = []
-    for comp in sub.component_nodesets():
-        labels = set()
-        for b in sub.bundles:
-            if b.u in comp:
-                labels |= set(b.labels)
-        parts.append(
-            Collection(collection.nodes & comp, collection.labels & frozenset(labels))
+    return [
+        Collection(
+            collection.nodes & comp,
+            frozenset(x for x in collection.labels if graph.bundle_of(x).u in comp),
         )
-    return parts
+        for comp in graph._components_within(touched_nodes(graph, collection))
+    ]
 
 
 def components_all_even(graph, collection):
@@ -270,8 +263,7 @@ def admissible_collections(graph, designation=None):
 def has_admissible(graph):
     """Whether the graph has an admissible collection: every component holds
     a bundle end or an even number of nodes."""
-    ends = {x for b in graph.bundles for x in (b.u, b.v)}
-    return all(comp & ends or len(comp) % 2 == 0 for comp in graph.component_nodesets())
+    return _admits(graph, graph.nodes)
 
 
 def collection_orbits(graph, admissible=False):

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import FaceBudget
-from .graphs import enumerate_reductions, isomorphism_classes, reduced_graph
+from .graphs import admissible_reduction_classes, enumerate_reductions, reduced_graph
 from .parity import (
     _EvenFamily,
     _component_collections,
@@ -145,14 +145,13 @@ def a_polynomial(graph, budget=None):
 
 def poincare_reduced(graph, budget=None):
     """Poincaré polynomial assembled from a-polynomials of all reductions,
-    one per isomorphism class, times its size.  The result is kept on the
-    graph, which is immutable, so a second call returns it and charges no
-    faces to its budget."""
+    one per isomorphism class of those with an admissible collection, times
+    its size.  The result is kept on the graph, which is immutable, so a
+    second call returns it and charges no faces to its budget."""
     if graph._poincare is None:
         budget = FaceBudget.ensure(budget)
         total = IntPolynomial.zero()
-        reductions = (h for h in enumerate_reductions(graph) if has_admissible(h))
-        for h, count in isomorphism_classes(reductions):
+        for h, count in admissible_reduction_classes(graph):
             total = total + a_polynomial(h, budget) * count
         graph._poincare = IntPolynomial.one() + total.shift(1)
     return graph._poincare

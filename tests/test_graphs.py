@@ -141,6 +141,16 @@ def test_collection_members(bundle_tree5):
     c = Collection.of(bundle_tree5, ["e", 5, "a", 1])
     assert c.members() == {1, 5, "a", "e"}
     assert c.issubset_of(bundle_tree5)
+    # node 5 and label e are foreign to the path; z labels a plain edge
+    assert not c.issubset_of(Pseudograph([1, 2, 3], [(1, 2, "a"), (1, 2, "e"), (2, 3)]))
+    assert not Collection.of(bundle_tree5, [1, "e"]).issubset_of(
+        Pseudograph([1, 2], [(1, 2, "a"), (1, 2, "b")])
+    )
+    assert not Collection(frozenset({1}), frozenset({"z"})).issubset_of(
+        Pseudograph([1, 2, 3], [(1, 2, "a"), (1, 2, "b"), (2, 3, "z")])
+    )
+    with pytest.raises(UnknownMemberError):
+        touched_nodes(Pseudograph([1, 2], [(1, 2)]), c)
 
 
 def test_default_designation(bundle_path3):

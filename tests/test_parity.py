@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from tubings import (
     NotEvenError,
     Pseudograph,
     Tube,
+    TubeSystem,
     admissible_collections,
     components_all_even,
     confined_odd_complex,
@@ -24,7 +26,10 @@ from tubings import (
     odd_tube_complex,
     reduced_graph,
     saturated_odd_complex,
+    touched_subgraph,
 )
+from tubings.parity import _component_collections, _odd_indices
+from test_acceptance import _small_connected_family
 
 
 def names(k):
@@ -238,6 +243,29 @@ def test_admissible_iff_reduced_graph_admits(bundle_path4):
         lhs = components_all_even(bundle_path4, c)
         rhs = is_admissible(reduced_graph(bundle_path4, c), c)
         assert lhs == rhs
+
+
+def test_verify_loop_helpers_match_the_touched_subgraph():
+    """Every even collection of every 10th graph of criterion 7's family:
+    the collection split, the reduced graph and the odd tubes agree with
+    what the touched subgraph and a per-tube parity test give."""
+    for _, g in itertools.islice(_small_connected_family(), 0, None, 10):
+        system = TubeSystem(g)
+        for c in even_collections(g):
+            sub = touched_subgraph(g, c)
+            parts = [
+                Collection(
+                    c.nodes & comp,
+                    c.labels & {x for b in sub.bundles if b.u in comp for x in b.labels},
+                )
+                for comp in sub.component_nodesets()
+            ]
+            assert _component_collections(g, c) == parts
+            collapsed = [(b.u, b.v) for b in sub.bundles if not set(b.labels) & c.labels]
+            assert reduced_graph(g, c) == sub.partial_underlying(collapsed)
+            cmask = system.collection_mask(c)
+            odd = [i for i in range(len(system.tubes)) if system.meet_is_odd(i, cmask)]
+            assert _odd_indices(system, c) == odd
 
 
 def test_admissible_collection_recovers_its_reduction(bundle_path3):

@@ -5,6 +5,7 @@ import pytest
 
 from tubings import (
     BettiVector,
+    Collection,
     Designation,
     FaceBudget,
     FaceBudgetExceededError,
@@ -18,6 +19,7 @@ from tubings import (
     even_collections,
     from_betti_suspended,
     from_betti_tilde,
+    odd_tube_complex,
     poincare_brute,
     poincare_reduced,
     polytope_dimension,
@@ -158,6 +160,17 @@ def test_simple_graphs_concentrate_in_one_degree():
         elif not a.is_zero():
             assert a.degree() == n // 2 - 1
             assert all(a.coefficient(k) == 0 for k in range(a.degree()))
+
+
+def test_pseudograph_homology_need_not_sit_in_one_degree():
+    """Unlike a simple graph's, an odd complex of a pseudograph can carry
+    homology in two degrees, so no route may read a-numbers off Euler
+    characteristics: the triangle 1-2-3 with 1-2 doubled and a pendant 1-4."""
+    g = Pseudograph(
+        [1, 2, 3, 4], [(1, 2, "a"), (1, 2, "b"), (1, 3), (2, 3), (1, 4)]
+    )
+    c = Collection.of(g, [1, 2, 3, 4, "a", "b"])
+    assert odd_tube_complex(g, c).betti_reduced().to_list() == [0, 0, 1, 2]
 
 
 def test_disjoint_union_product_law(bundle_path3):

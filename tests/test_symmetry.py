@@ -25,7 +25,13 @@ from tubings import (
     poincare_brute,
     poincare_reduced,
 )
-from tubings.graphs import automorphism_generators, isomorphism_classes
+from tubings.graphs import (
+    _admits,
+    _reduction_keys,
+    admissible_reduction_classes,
+    automorphism_generators,
+    isomorphism_classes,
+)
 from tubings.parity import collection_orbits, has_admissible
 
 LABELS = [f"{a}{b}" for a in "pqrstuvwxyz" for b in "abcd"]
@@ -190,6 +196,40 @@ def test_routes_ignore_renaming_of_nodes_and_labels(g, data):
     assert a_polynomial(h) == a_polynomial(g)
 
 
+def reductions_built_edge_by_edge(graph):
+    """Every reduction, node subsets by size and then lexicographically,
+    each followed by its choices of bundles to collapse by size."""
+    out = []
+    for r in range(1, len(graph.nodes) + 1):
+        for subset in itertools.combinations(graph.nodes, r):
+            edges = [e for e in graph.edges if e[0] in subset and e[1] in subset]
+            pairs = [(b.u, b.v) for b in graph.bundles if b.u in subset and b.v in subset]
+            for k in range(len(pairs) + 1):
+                for chosen in itertools.combinations(pairs, k):
+                    kept = [e for e in edges if e[:2] not in chosen]
+                    out.append(Pseudograph(subset, kept + list(chosen)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(pseudographs().filter(Pseudograph.is_connected))
+@example(SWAPPED_BUNDLES)
+def test_reduction_keys_agree_with_the_graphs_they_stand_for(g):
+    keys = list(_reduction_keys(g))
+    reductions = enumerate_reductions(g)
+    assert list(reductions) == reductions_built_edge_by_edge(g)
+    assert len(keys) == len(reductions)
+    for key, h in zip(keys, reductions):
+        assert _admits(g, *key) == has_admissible(h) == bool(admissible_collections(h))
+    admissible = [h for h in reductions if has_admissible(h)]
+    classes = admissible_reduction_classes(g)
+    assert classes == isomorphism_classes(admissible)
+    by_form = {}
+    for h in admissible:
+        by_form[canonical_form(h)] = by_form.get(canonical_form(h), 0) + 1
+    assert {canonical_form(h): count for h, count in classes} == by_form
+
+
 def path(n):
     return Pseudograph(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
 
@@ -225,6 +265,17 @@ def test_reduction_class_counts(graph, reductions, classes):
     found = isomorphism_classes(h for h in enumerate_reductions(graph) if has_admissible(h))
     assert sum(count for _, count in found) == reductions
     assert len(found) == classes
+    assert admissible_reduction_classes(graph) == found
+
+
+@pytest.mark.parametrize("name", ["P6", "K5", "bundle_path3", "bundle_path4"])
+def test_reduced_route_is_the_unclassed_sum_over_admissible_reductions(name, request):
+    graph = {"P6": path(6), "K5": complete(5)}.get(name) or request.getfixturevalue(name)
+    total = IntPolynomial.zero()
+    for h in enumerate_reductions(graph):
+        if has_admissible(h):
+            total = total + a_polynomial(h)
+    assert poincare_reduced(graph) == IntPolynomial.one() + total.shift(1)
 
 
 def cycles(*lengths, order=None):
