@@ -144,22 +144,22 @@ def _bits(mask):
 def _clique_levels(adj, alive, budget):
     """Cliques of the graph with adjacency bitmasks ``adj`` induced on the
     vertex mask ``alive``: a list whose d-th entry is the sorted list of
-    (d+1)-clique masks.  Each clique is charged to the budget once."""
-    level = []
-    for i in _bits(alive):
-        budget.charge()
-        level.append((1 << i, i, adj[i] & alive))
+    (d+1)-clique masks.  Each clique is charged to the budget once, in one
+    charge per parent clique."""
+    level = [(1 << i, i, adj[i] & alive) for i in _bits(alive)]
+    budget.charge(len(level))
     levels = []
     while level:
         levels.append(sorted(m for m, _, _ in level))
         nxt = []
         for mask, last, common in level:
             ext = common & ~((1 << (last + 1)) - 1)
+            if ext:
+                budget.charge(ext.bit_count())
             while ext:
                 b = ext & -ext
                 j = b.bit_length() - 1
                 ext ^= b
-                budget.charge()
                 nxt.append((mask | b, j, common & adj[j]))
         level = nxt
     return levels
@@ -289,33 +289,33 @@ class SimplicialComplex:
     # -- homology ---------------------------------------------------------
 
     def _flag_core_mask(self):
-        """Alive-vertex mask after repeatedly deleting dominated vertices."""
+        """Alive-vertex mask after repeatedly deleting dominated vertices.
+
+        A deletion can only make the deleted vertex's neighbours dominated,
+        so after a first pass over the whole mask each pass rescans only
+        the alive neighbours of the vertices deleted since the last one."""
         adj = self._adj
-        alive = self._mask
-        changed = True
-        while changed and alive.bit_count() > 1:
-            changed = False
-            scan = alive
+        alive = dirty = self._mask
+        while dirty:
+            scan = dirty & alive
+            dirty = 0
             while scan:
                 b = scan & -scan
                 i = b.bit_length() - 1
                 scan ^= b
-                closed_i = ((adj[i] | b) & alive)
-                cand = adj[i] & alive
-                found = False
+                closed_i = (adj[i] | b) & alive
+                cand = closed_i ^ b
                 while cand:
                     cb = cand & -cand
-                    u = cb.bit_length() - 1
-                    cand ^= cb
-                    closed_u = (adj[u] | cb) & alive
-                    if closed_i & ~closed_u == 0:
-                        found = True
+                    nb = adj[cb.bit_length() - 1]
+                    # the neighbour u dominates i: u is adjacent to all of
+                    # i's closed neighbourhood but itself
+                    if closed_i & ~nb == cb:
+                        alive ^= b
+                        dirty |= adj[i]
                         break
-                if found:
-                    alive ^= b
-                    changed = True
-                    if alive.bit_count() <= 1:
-                        break
+                    # and a vertex dominating i is adjacent to u
+                    cand &= nb
         return alive
 
     def betti_reduced(self, budget=None):
@@ -324,7 +324,10 @@ class SimplicialComplex:
         alive = self._flag_core_mask()
         if alive.bit_count() == 1:
             return BettiVector.zeros()
-        return _betti_from_levels(_clique_levels(self._adj, alive, budget))
+        # renumbered to bits 0..k-1, the core's face masks are one-digit ints
+        core = [*_bits(alive)]
+        adj = [sum(1 << k for k, u in enumerate(core) if self._adj[v] >> u & 1) for v in core]
+        return _betti_from_levels(_clique_levels(adj, (1 << len(adj)) - 1, budget))
 
     def euler_reduced(self, budget=None):
         """Alternating face-count sum minus one (no collapse, direct count)."""

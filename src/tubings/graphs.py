@@ -293,17 +293,15 @@ class Collection:
     def of(cls, graph, members):
         nodes = set()
         labels = set()
-        bundle_labels = set(graph.bundle_labels)
-        plain_labels = set(graph.edge_labels())
         for m in members:
             if isinstance(m, int) and not isinstance(m, bool):
                 if m not in graph._adjacency:
                     raise UnknownMemberError(f"node {m} is not in the graph")
                 nodes.add(m)
             elif isinstance(m, str):
-                if m in bundle_labels:
+                if m in graph._bundle_by_label:
                     labels.add(m)
-                elif m in plain_labels:
+                elif m in graph.edge_labels():
                     raise NotInAnyBundleError(f"label {m!r} belongs to a non-bundle edge")
                 else:
                     raise UnknownMemberError(f"{m!r} is not a node or bundle-edge label")

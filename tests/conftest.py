@@ -5,17 +5,18 @@ from tubings import Pseudograph, compatible, enumerate_tubes, polytope_dimension
 
 def tubing_f_vector(graph):
     """Face numbers (f_-1, f_0, f_1, ...) of the tubing complex, counted by
-    growing sets of pairwise compatible tubes one tube at a time."""
+    growing sets of pairwise compatible tubes one tube at a time.  A face
+    is kept as the set of later tubes compatible with each of its tubes,
+    the ones that can extend it."""
     tubes = enumerate_tubes(graph)
+    later = [
+        {j for j in range(i + 1, len(tubes)) if compatible(tubes[i], tubes[j])}
+        for i in range(len(tubes))
+    ]
     f = [1]
-    faces = [()]
+    faces = [set(range(len(tubes)))]
     while True:
-        faces = [
-            face + (j,)
-            for face in faces
-            for j in range(face[-1] + 1 if face else 0, len(tubes))
-            if all(compatible(tubes[i], tubes[j]) for i in face)
-        ]
+        faces = [extend & later[j] for extend in faces for j in extend]
         if not faces:
             return f
         f.append(len(faces))

@@ -291,6 +291,56 @@ def test_clique_levels_match_brute_force_listing(graph):
             _clique_levels(adj, (1 << n) - 1, FaceBudget(total - 1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_vertices=12), st.randoms(use_true_random=False))
+def test_strong_collapse_leaves_an_undominated_core(graph, rng):
+    n, edges, adj = graph
+    k = SimplicialComplex(range(n), adj)
+    core = set(k._mask_to_face(k._flag_core_mask()))
+    closed = {v: {v} | {u for u in core if (min(u, v), max(u, v)) in edges} for v in core}
+    # v is dominated by u when v's closed neighbourhood lies in u's
+    assert not [(v, u) for v in core for u in core if u != v and closed[v] <= closed[u]]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    relabelled = [0] * n
+    for u, v in edges:
+        relabelled[perm[u]] |= 1 << perm[v]
+        relabelled[perm[v]] |= 1 << perm[u]
+    core_size = SimplicialComplex(range(n), relabelled)._flag_core_mask().bit_count()
+    assert core_size == len(core)
+    assert k.betti_reduced() == uncollapsed_betti(k)
+
+
+def octahedron_with_a_cone_on_a_face():
+    """The octahedron plus a vertex joined to the triangle 0, 2, 4: the new
+    vertex is dominated, and the collapse leaves the octahedron."""
+
+    def adjacent(u, v):
+        if max(u, v) == 6:
+            return min(u, v) in (0, 2, 4)
+        return not_opposite(u, v)
+
+    return SimplicialComplex.flag(range(7), adjacent)
+
+
+@pytest.mark.parametrize(
+    "k, shrinks",
+    [
+        pytest.param(octahedron_with_a_cone_on_a_face(), True, id="collapsed"),
+        pytest.param(sphere(2), False, id="whole"),
+    ],
+)
+def test_betti_charges_each_core_face_once(k, shrinks):
+    core = k._flag_core_mask()
+    assert (core != k._mask) == shrinks
+    cliques = sum(map(len, _clique_levels(k._adj, core, FaceBudget())))
+    budget = FaceBudget(cliques)
+    assert k.betti_reduced(budget).to_list() == [0, 0, 0, 1]
+    assert budget.used == cliques == 26
+    with pytest.raises(FaceBudgetExceededError):
+        k.betti_reduced(FaceBudget(cliques - 1))
+
+
 # -- Betti numbers against full boundary matrices ---------------------------
 #
 # `betti_reduced` ranks the boundary maps over GF(2) with clearing and ranks

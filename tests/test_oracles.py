@@ -11,7 +11,9 @@ from math import comb
 
 import pytest
 
-from tubings import Pseudograph, a_polynomial, poincare_brute, poincare_reduced
+from conftest import tubing_f_vector
+from test_acceptance import _small_connected_family
+from tubings import Pseudograph, TubeSystem, a_polynomial, poincare_brute, poincare_reduced
 
 
 def simple_graph(n, pairs):
@@ -142,3 +144,47 @@ def test_choi_park_recursion_on_sampled_graphs_of_six_and_seven_nodes():
         edges = [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]
         expected = choi_park_betti(n, edges)
         assert both_routes(simple_graph(n, edges)) == (expected, expected), edges
+
+
+# -- the small-cover h-vector bound -------------------------------------------
+
+
+def h_vector(graph):
+    """h-vector of the tubing complex, a simplicial sphere of dimension
+    n - 1, from the face numbers f_-1, ..., f_n-1 that `tubing_f_vector`
+    counts."""
+    f = tubing_f_vector(graph)
+    n = len(f) - 1
+    return [sum((-1) ** (i - j) * comb(n - j, i - j) * f[j] for j in range(i + 1)) for i in range(n + 1)]
+
+
+def assert_betti_within_h_vector(graph):
+    """Davis-Januszkiewicz (Duke Math. J., 1991): the mod-2 Betti numbers of
+    a small cover over a simple polytope are the polytope's h-numbers, and
+    the rational Betti numbers of either route cannot exceed them."""
+    h = h_vector(graph)
+    assert sum(h) == len(TubeSystem(graph).tubing_complex().maximal_face_masks())
+    for betti in both_routes(graph):
+        assert len(betti) <= len(h)
+        assert all(b <= hi for b, hi in zip(betti, h)), (betti, h)
+    return h
+
+
+@pytest.mark.parametrize(
+    "n, pairs, betti, h",
+    [
+        pytest.param(4, [(1, 2), (2, 3), (3, 4)], [1, 3, 2], [1, 6, 6, 1], id="P4"),
+        pytest.param(4, list(itertools.combinations(range(1, 5), 2)), [1, 6, 5], [1, 11, 11, 1], id="K4"),
+    ],
+)
+def test_betti_numbers_within_the_h_vector(n, pairs, betti, h):
+    graph = simple_graph(n, pairs)
+    assert both_routes(graph) == (betti, betti)
+    assert assert_betti_within_h_vector(graph) == h
+
+
+def test_betti_numbers_within_the_h_vector_on_criterion_7s_family():
+    sample = list(_small_connected_family())[::9]
+    for _, graph in sample:
+        assert_betti_within_h_vector(graph)
+    assert len(sample) == 137
