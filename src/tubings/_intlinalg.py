@@ -7,8 +7,9 @@ stored row's largest column; the elimination is fraction-free and divides
 every reduced row by the gcd of its entries, so boundary matrices, which
 are almost entirely +-1, keep tiny entries.
 
-`gf2_basis` (int bit-vector rows, XOR against a table keyed by lowest bit)
-ranks the boundary maps of `complexes`, with `rank_int` as the fallback.
+`gf2_basis` (int bit-vector rows, XOR against a table keyed by the index
+of each row's lowest bit) ranks the boundary maps of `complexes`, with
+`rank_int` as the fallback.
 """
 
 from math import gcd
@@ -77,16 +78,16 @@ def det_bareiss(matrix):
 
 
 def gf2_basis(rows):
-    """GF(2) basis for the row span, as a {pivot_bit: row} dict.
+    """GF(2) basis for the row span, as a {pivot: row} dict.
 
     Rows are ints used as bit vectors.  Each stored row owns a distinct
-    pivot (its lowest set bit at insertion time), which is all that
-    membership reduction needs.
+    pivot, the index of its lowest set bit at insertion time, which is all
+    that membership reduction needs.
     """
     pivots = {}
     for row in rows:
         while row:
-            p = row & -row
+            p = (row & -row).bit_length() - 1
             owner = pivots.get(p)
             if owner is None:
                 pivots[p] = row

@@ -29,7 +29,7 @@ from .errors import FaceBudgetConfigError, FaceBudgetExceededError, VertexClashE
 DEFAULT_FACE_BUDGET = 1_000_000
 _BUDGET_ENV = "TUBINGS_FACE_BUDGET"
 # A GF(2) row is an int as wide as the level below: R rows over W faces take
-# up to R * W / 8 bytes, and the basis keys as much again.  The largest map
+# up to R * W / 8 bytes; the basis keys are bit indices.  The largest map
 # of P12's odd complexes has 1e9 cells after clearing, of K10's 6e10.
 _GF2_MAX_CELLS = 1 << 30
 
@@ -487,7 +487,7 @@ def _gf2_rank_and_pivots(level, lower, cleared, below):
                 yield row
 
     basis = gf2_basis(rows())
-    return len(basis), {below[p.bit_length() - 1] for p in basis}
+    return len(basis), {below[p] for p in basis}
 
 
 def _signed_rows(level, lower):

@@ -74,6 +74,7 @@ class Pseudograph:
         "_hash",
         "_components",
         "_neighbour_masks",  # filled by _split on its first call
+        "_bundle_masks",  # filled by _bundle_masks on its first call
         "_poincare",  # filled by poincare_reduced on its first call
     )
 
@@ -142,6 +143,7 @@ class Pseudograph:
         self._hash = hash(self._key)
         self._components = None
         self._neighbour_masks = None
+        self._bundle_masks = None
         self._poincare = None
 
     # -- basic structure ------------------------------------------------
@@ -201,16 +203,11 @@ class Pseudograph:
     def component_nodesets(self):
         """Connected components as frozensets of nodes, ordered by min node."""
         if self._components is None:
-            self._components = self._components_within(self._nodes)
+            self._components = tuple(
+                frozenset(n for i, n in enumerate(self._nodes) if comp >> i & 1)
+                for comp in _split(self, (1 << len(self._nodes)) - 1)
+            )
         return self._components
-
-    def _components_within(self, node_subset):
-        """Components of the subgraph induced on the given nodes, as
-        frozensets ordered by min node."""
-        return tuple(
-            frozenset(n for i, n in enumerate(self._nodes) if comp >> i & 1)
-            for comp in _split(self, node_subset)
-        )
 
     def is_connected(self):
         return len(self.component_nodesets()) == 1
@@ -444,15 +441,15 @@ def _reduction_keys(graph):
                     yield nodes, collapsed
 
 
-def _split(graph, nodes):
-    """The components of the subgraph induced on ``nodes``, as node
-    bitmasks (bit i is ``graph.nodes[i]``), least node first."""
-    index = graph._ground_index
+def _split(graph, mask):
+    """The components of the subgraph induced on the node bitmask ``mask``
+    (bit i is ``graph.nodes[i]``), as node bitmasks, least node first."""
     if graph._neighbour_masks is None:
+        index = graph._ground_index
         graph._neighbour_masks = tuple(
             sum(1 << index[w] for w in graph._adjacency[n]) for n in graph._nodes
         )
-    nbr, mask, comps = graph._neighbour_masks, sum(1 << index[n] for n in nodes), []
+    nbr, comps = graph._neighbour_masks, []
     while mask:
         comp = grow = mask & -mask
         while grow:
@@ -465,6 +462,17 @@ def _split(graph, nodes):
     return comps
 
 
+def _bundle_masks(graph):
+    """Per bundle, the ground bitmasks of its two ends and of its labels."""
+    if graph._bundle_masks is None:
+        index = graph._ground_index
+        graph._bundle_masks = tuple(
+            (1 << index[b.u] | 1 << index[b.v], sum(1 << index[x] for x in b.labels))
+            for b in graph._bundles
+        )
+    return graph._bundle_masks
+
+
 def _admits(graph, nodes, collapsed=()):
     """Whether the reduction (nodes, collapsed) has an admissible
     collection: every component holds an end of a bundle left uncollapsed,
@@ -474,7 +482,33 @@ def _admits(graph, nodes, collapsed=()):
     for b in graph.bundles:
         if b.u in nodes and b.v in nodes and b not in collapsed:
             ends |= 1 << index[b.u] | 1 << index[b.v]
-    return all(comp & ends or not comp.bit_count() & 1 for comp in _split(graph, nodes))
+    mask = sum(1 << index[n] for n in nodes)
+    return all(comp & ends or not comp.bit_count() & 1 for comp in _split(graph, mask))
+
+
+def _reduction_key(graph, members):
+    """The reduced graph of the collection with ground bitmask ``members``
+    as a key: its touched nodes as a node bitmask, and the (ends, labels)
+    masks of the bundles it meets, the ones the reduction keeps."""
+    kept = [b for b in _bundle_masks(graph) if members & b[1]]
+    nodes = members & ((1 << len(graph._nodes)) - 1)
+    for ends, _ in kept:
+        nodes |= ends
+    return nodes, kept
+
+
+def _admissible(graph, nodes, kept, members):
+    """:func:`~tubings.parity.is_admissible` of the even collection with
+    ground bitmask ``members`` on the reduction keyed by the node bitmask
+    ``nodes`` and the (ends, labels) masks of the bundles ``kept``, all of
+    which it meets: each component holds an even number of its nodes, and
+    it holds every node that is no end of a kept bundle."""
+    ends = 0
+    for e, _ in kept:
+        ends |= e
+    if nodes & ~ends & ~members:
+        return False
+    return all(not (members & comp).bit_count() & 1 for comp in _split(graph, nodes))
 
 
 def enumerate_reductions(graph):

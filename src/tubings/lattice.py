@@ -22,7 +22,7 @@ from ._intlinalg import det_bareiss, gf2_rank
 from .complexes import FaceBudget, _bits
 from .errors import DisconnectedError, HostMismatchError
 from .graphs import Designation, restricted_ground
-from .parity import _require_subset
+from .parity import _EvenFamily, _odd_tubes, _require_subset
 from .tubes import TubeSystem
 
 
@@ -119,39 +119,16 @@ def tube_incidence_matrix(graph, budget=None):
     the tube's representation."""
     _require_connected(graph)
     system = TubeSystem(graph, budget)
-    rows = graph.ground_members()
     cols = tuple(t.name() for t in system.tubes)
-    entries = []
-    for i, m in enumerate(rows):
-        bit = 1 << i
-        entries.append(
-            [1 if system.repr_masks[j] & bit else 0 for j in range(len(system.tubes))]
-        )
-    return LabeledMatrix(rows, cols, entries)
+    entries = [[c >> j & 1 for j in range(len(cols))] for c in system.columns]
+    return LabeledMatrix(graph.ground_members(), cols, entries)
 
 
 def _characteristic_row_masks(graph, d, system):
     """Rows of the characteristic matrix for the resolved designation ``d``,
-    as bitmasks over the tube columns of ``system``."""
-    idx = graph.ground_index()
-    incidence = []
-    for i in range(len(graph.ground_members())):
-        bit = 1 << i
-        m = 0
-        for j, rm in enumerate(system.repr_masks):
-            if rm & bit:
-                m |= 1 << j
-        incidence.append(m)
-    designated_node = next(iter(d.nodes))
-    rows = []
-    for r in restricted_ground(graph, d):
-        if isinstance(r, int):
-            partner = designated_node
-        else:
-            bundle = graph.bundle_of(r)
-            partner = next(iter(d.labels & set(bundle.labels)))
-        rows.append(incidence[idx[r]] ^ incidence[idx[partner]])
-    return rows
+    as bitmasks over the tube columns of ``system``: the parity map of
+    each row of :class:`~tubings.parity._EvenFamily`."""
+    return [_odd_tubes(system, row) for row in _EvenFamily(graph, d).rows]
 
 
 def characteristic_matrix(graph, designation=None, budget=None):
@@ -179,11 +156,8 @@ def collection_parity_vector(graph, collection, budget=None):
     _require_connected(graph)
     _require_subset(graph, collection)
     system = TubeSystem(graph, budget)
-    cmask = system.collection_mask(collection)
-    return tuple(
-        (system.repr_masks[j] & cmask).bit_count() & 1
-        for j in range(len(system.tubes))
-    )
+    odd = _odd_tubes(system, system.collection_mask(collection))
+    return tuple(odd >> j & 1 for j in range(len(system.tubes)))
 
 
 @dataclass(frozen=True)

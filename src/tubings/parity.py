@@ -3,14 +3,18 @@
 A *collection* is a subset of the ground set (nodes plus bundle labels).
 It is *even* when every connected component holds an even number of its
 nodes and every bundle an even number of its labels.  Fixing one node per
-component and one label per bundle, every even collection is reached
-exactly once from a subset of the remaining ground members by toggling the
-fixed members to repair parity; that drives :func:`even_collections`.
+component and one label per bundle, every free member m pairs with the
+fixed member of its component or bundle, and the even collections are the
+XORs of these pairs {m, fix(m)}, the rows of the characteristic matrix Λ:
+bit j of an index picks the j-th row.  That drives :func:`even_collections`.
 
 For a collection C, the tubes whose representation meets C in an odd
-number of members span the odd subcomplex; two further passes confine the
-odd tubes to the nodes C touches and then saturate them across bundles C
-misses.  The reduced graph of C carries an odd subcomplex of its own, and
+number of members span the odd subcomplex.  As a tube bitmask it is the
+XOR of the tube system's columns over C's members, so the odd masks of the
+even collections are the row space of Λ over the tube columns.  Two further
+passes confine the odd tubes to the nodes C touches, by dropping the
+columns of the other nodes, and then saturate them across bundles C misses.
+The reduced graph of C carries an odd subcomplex of its own, and
 :func:`inflate_tube` realizes the isomorphism back to the saturated one.
 """
 
@@ -19,16 +23,18 @@ from __future__ import annotations
 import itertools
 import math
 
-from .complexes import FaceBudget
+from .complexes import FaceBudget, _bits
 from .errors import HostMismatchError, NotEvenError
 from .graphs import (
     Collection,
     Designation,
     _admits,
+    _bundle_masks,
+    _reduction_key,
+    _split,
     automorphism_generators,
     reduced_graph,
     restricted_ground,
-    touched_nodes,
 )
 from .tubes import Tube, TubeSystem, compatible
 
@@ -61,54 +67,39 @@ def meet_parity(tube, collection):
 
 
 class _EvenFamily:
-    """Shared machinery for walking all even collections of one graph."""
+    """The even collections of one graph as ground bitmasks: the one at
+    index k is the XOR of the rows of Λ, {free member, its fixed partner},
+    picked by the bits of k."""
 
     def __init__(self, graph, designation=None):
         self.graph = graph
         d = Designation.resolve(graph, designation)
-        self.free = restricted_ground(graph, d)
-        node_set = set(graph.nodes)
-        self.free_nodes = [m for m in self.free if m in node_set]
-        self.comp_of = {}
-        self.comp_fix = {}
+        index = graph.ground_index()
+        fix = {}
         for comp in graph.component_nodesets():
-            fix = next(iter(d.nodes & comp))
-            for n in comp:
-                self.comp_of[n] = fix
-        self.bundle_fix = {}
+            fix.update(dict.fromkeys(comp, next(iter(d.nodes & comp))))
         for b in graph.bundles:
-            fix = next(iter(d.labels & set(b.labels)))
-            for lab in b.labels:
-                self.bundle_fix[lab] = fix
+            fix.update(dict.fromkeys(b.labels, next(iter(d.labels & set(b.labels)))))
+        self.rows = [1 << index[m] | 1 << index[fix[m]] for m in restricted_ground(graph, d)]
 
     def count(self):
-        return 1 << len(self.free)
+        return 1 << len(self.rows)
+
+    def mask_at(self, index):
+        mask = 0
+        for j in _bits(index):
+            mask ^= self.rows[j]
+        return mask
 
     def collection_at(self, index):
         if not 0 <= index < self.count():
             raise IndexError(f"even-collection index {index} out of range")
-        nodes = set()
-        labels = set()
-        comp_parity = {}
-        bundle_parity = {}
-        for j, member in enumerate(self.free):
-            if not index >> j & 1:
-                continue
-            if isinstance(member, int):
-                nodes.add(member)
-                fix = self.comp_of[member]
-                comp_parity[fix] = not comp_parity.get(fix, False)
-            else:
-                labels.add(member)
-                fix = self.bundle_fix[member]
-                bundle_parity[fix] = not bundle_parity.get(fix, False)
-        for fix, odd in comp_parity.items():
-            if odd:
-                nodes.add(fix)
-        for fix, odd in bundle_parity.items():
-            if odd:
-                labels.add(fix)
-        return Collection(frozenset(nodes), frozenset(labels))
+        ground = self.graph.ground_members()
+        members = [ground[i] for i in _bits(self.mask_at(index))]
+        return Collection(
+            frozenset(m for m in members if isinstance(m, int)),
+            frozenset(m for m in members if isinstance(m, str)),
+        )
 
 
 def even_collections(graph, designation=None):
@@ -129,9 +120,13 @@ def even_collection_at(graph, index, designation=None):
 # -- parity subcomplexes --------------------------------------------------
 
 
-def _odd_indices(system, collection):
-    cmask = system.collection_mask(collection)
-    return [i for i, rm in enumerate(system.repr_masks) if (rm & cmask).bit_count() & 1]
+def _odd_tubes(system, members):
+    """Bitmask of the tubes meeting the ground bitmask ``members`` oddly:
+    the XOR of its columns."""
+    odd = 0
+    for i in _bits(members):
+        odd ^= system.columns[i]
+    return odd
 
 
 def odd_tube_complex(graph, collection, budget=None, system=None):
@@ -140,7 +135,7 @@ def odd_tube_complex(graph, collection, budget=None, system=None):
     _require_subset(graph, collection)
     if system is None:
         system = TubeSystem(graph, budget)
-    return system.complex_on(_odd_indices(system, collection))
+    return system.complex_on(_odd_tubes(system, system.collection_mask(collection)))
 
 
 def even_tube_complex(graph, collection, budget=None, system=None):
@@ -149,21 +144,18 @@ def even_tube_complex(graph, collection, budget=None, system=None):
     _require_subset(graph, collection)
     if system is None:
         system = TubeSystem(graph, budget)
-    cmask = system.collection_mask(collection)
-    idxs = [
-        i for i in range(len(system.tubes)) if not system.meet_is_odd(i, cmask)
-    ]
-    return system.complex_on(idxs)
+    odd = _odd_tubes(system, system.collection_mask(collection))
+    return system.complex_on((1 << len(system.tubes)) - 1 & ~odd)
 
 
-def _confined_indices(system, collection):
-    graph = system.graph
-    tmask = system.member_mask(touched_nodes(graph, collection))
-    return [
-        i
-        for i in _odd_indices(system, collection)
-        if system.node_masks[i] & ~tmask == 0
-    ]
+def _confined_tubes(system, members):
+    """The odd tubes of ``members`` inside the nodes it touches: the
+    columns of the other nodes are dropped."""
+    tubes = _odd_tubes(system, members)
+    nodes, _ = _reduction_key(system.graph, members)
+    for n in _bits((1 << len(system.graph.nodes)) - 1 & ~nodes):
+        tubes &= ~system.columns[n]
+    return tubes
 
 
 def confined_odd_complex(graph, collection, budget=None, system=None):
@@ -171,30 +163,22 @@ def confined_odd_complex(graph, collection, budget=None, system=None):
     _require_subset(graph, collection)
     if system is None:
         system = TubeSystem(graph, budget)
-    return system.complex_on(_confined_indices(system, collection))
+    return system.complex_on(_confined_tubes(system, system.collection_mask(collection)))
 
 
-def _saturated_indices(system, collection):
-    touched = touched_nodes(system.graph, collection)
-    constraints = []
-    for b in system.graph.bundles:
-        if b.u not in touched or b.v not in touched or not collection.labels.isdisjoint(b.labels):
-            continue
-        ends = system.member_mask((b.u, b.v))
-        labs = system.member_mask(b.labels)
-        constraints.append((ends, labs))
-    out = []
-    for i in _confined_indices(system, collection):
-        nm = system.node_masks[i]
-        rm = system.repr_masks[i]
-        ok = True
-        for ends, labs in constraints:
-            if nm & ends == ends and rm & labs != labs:
-                ok = False
-                break
-        if ok:
-            out.append(i)
-    return out
+def _saturated_tubes(system, members):
+    """The confined odd tubes of ``members`` less, for each bundle it
+    misses, the tubes holding both ends but not every label."""
+    tubes = _confined_tubes(system, members)
+    cols = system.columns
+    for ends, labels in _bundle_masks(system.graph):
+        if not members & labels:
+            u, v = _bits(ends)
+            whole = cols[u] & cols[v]
+            for x in _bits(labels):
+                whole &= cols[x]
+            tubes &= ~(cols[u] & cols[v]) | whole
+    return tubes
 
 
 def saturated_odd_complex(graph, collection, budget=None, system=None):
@@ -206,21 +190,23 @@ def saturated_odd_complex(graph, collection, budget=None, system=None):
     _require_subset(graph, collection)
     if system is None:
         system = TubeSystem(graph, budget)
-    return system.complex_on(_saturated_indices(system, collection))
+    return system.complex_on(_saturated_tubes(system, system.collection_mask(collection)))
 
 
 # -- structure of even collections ------------------------------------------
 
 
-def _component_collections(graph, collection):
-    """Split a collection along the components of its touched subgraph."""
-    return [
-        Collection(
-            collection.nodes & comp,
-            frozenset(x for x in collection.labels if graph.bundle_of(x).u in comp),
-        )
-        for comp in graph._components_within(touched_nodes(graph, collection))
-    ]
+def _shares(graph, nodes, kept, members):
+    """The collection with ground bitmask ``members`` split along the
+    components of its touched subgraph, given as its :func:`_reduction_key`
+    ``nodes, kept``: one ground bitmask per component."""
+    shares = []
+    for comp in _split(graph, nodes):
+        for ends, labels in kept:
+            if ends & comp:
+                comp |= labels
+        shares.append(members & comp)
+    return shares
 
 
 def components_all_even(graph, collection):
@@ -228,7 +214,10 @@ def components_all_even(graph, collection):
     of the collection.  Demands an even collection to begin with."""
     if not is_even(graph, collection):
         raise NotEvenError(f"{collection!r} is not an even collection")
-    return all(len(p) % 2 == 0 for p in _component_collections(graph, collection))
+    index = graph.ground_index()
+    members = sum(1 << index[m] for m in collection.members())
+    shares = _shares(graph, *_reduction_key(graph, members), members)
+    return not any(s.bit_count() & 1 for s in shares)
 
 
 def is_admissible(graph, collection):
@@ -330,15 +319,15 @@ def inflation_matches(graph, collection, budget=None, system=None):
     budget = FaceBudget.ensure(budget)
     gamma = reduced_graph(graph, collection)
     gamma_system = TubeSystem(gamma, budget)
-    gamma_odd = [
-        gamma_system.tubes[i] for i in _odd_indices(gamma_system, collection)
-    ]
+    odd = _odd_tubes(gamma_system, gamma_system.collection_mask(collection))
+    gamma_odd = [gamma_system.tubes[i] for i in _bits(odd)]
     inflated = [inflate_tube(t, graph, collection) for t in gamma_odd]
     if len(set(inflated)) != len(inflated):
         return False
     if system is None:
         system = TubeSystem(graph, budget)
-    saturated = {system.tubes[i] for i in _saturated_indices(system, collection)}
+    saturated = _saturated_tubes(system, system.collection_mask(collection))
+    saturated = {system.tubes[i] for i in _bits(saturated)}
     if set(inflated) != saturated:
         return False
     for i in range(len(gamma_odd)):

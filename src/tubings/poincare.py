@@ -7,7 +7,8 @@ collections of the plain reduced Betti polynomials) and recovers the
 Poincaré polynomial of G as ``1 + t * sum(a_H)`` over all reductions H of
 G.  Both routes add one term per symmetry class, times its size.
 ``cross_check`` exercises both routes plus the identities connecting them,
-with a plain sum over every collection, and reports any counterexample found.
+with a plain sum over every collection, each taken as its ground bitmask,
+and reports any counterexample found.
 """
 
 from __future__ import annotations
@@ -16,19 +17,24 @@ import random
 from dataclasses import dataclass
 
 from .complexes import FaceBudget
-from .graphs import admissible_reduction_classes, enumerate_reductions, reduced_graph
+from .graphs import (
+    _admissible,
+    _reduction_key,
+    admissible_reduction_classes,
+    enumerate_reductions,
+    reduced_graph,
+)
 from .parity import (
+    _confined_tubes,
     _EvenFamily,
-    _component_collections,
+    _odd_tubes,
+    _saturated_tubes,
+    _shares,
     admissible_collections,
     collection_orbits,
-    components_all_even,
-    confined_odd_complex,
     has_admissible,
     inflation_matches,
-    is_admissible,
     odd_tube_complex,
-    saturated_odd_complex,
 )
 from .tubes import TubeSystem
 
@@ -238,66 +244,62 @@ def cross_check(
             seen_failed.add(check)
             failures.append(CheckFailure(check, collection, detail))
 
+    def betti(tubes):
+        return system.complex_on(tubes).betti_reduced(budget)
+
     brute_total = IntPolynomial.zero()
     count = 0
     for index in indices:
-        c = family.collection_at(index)
+        members = family.mask_at(index)
         count += 1
-        odd = odd_tube_complex(graph, c, budget=budget, system=system)
-        bv_odd = odd.betti_reduced(budget)
+        bv_odd = betti(_odd_tubes(system, members))
         if not sampled and "routes" in chosen:
             brute_total = brute_total + from_betti_suspended(bv_odd)
-        saturated = None
-        bv_saturated = None
+        saturated = bv_saturated = None
         if chosen & {"chain", "join"}:
-            saturated = saturated_odd_complex(graph, c, budget=budget, system=system)
-            bv_saturated = saturated.betti_reduced(budget)
+            saturated = _saturated_tubes(system, members)
+            bv_saturated = betti(saturated)
         if "chain" in chosen:
-            confined = confined_odd_complex(graph, c, budget=budget, system=system)
-            bv_confined = confined.betti_reduced(budget)
+            bv_confined = betti(_confined_tubes(system, members))
             if not (bv_odd == bv_confined == bv_saturated):
                 fail(
                     "chain",
-                    c,
+                    family.collection_at(index),
                     f"betti {bv_odd!r} / {bv_confined!r} / {bv_saturated!r}",
                 )
-        evenstar = components_all_even(graph, c)
+        nodes, kept = _reduction_key(graph, members)
+        shares = _shares(graph, nodes, kept, members)
+        evenstar = not any(s.bit_count() & 1 for s in shares)
         if "zero" in chosen and not evenstar:
             bv = bv_saturated
             if bv is None:
-                bv = saturated_odd_complex(
-                    graph, c, budget=budget, system=system
-                ).betti_reduced(budget)
+                bv = betti(_saturated_tubes(system, members))
             if not bv.is_zero():
-                fail("zero", c, f"odd component share but betti {bv!r}")
+                fail("zero", family.collection_at(index), f"odd component share but betti {bv!r}")
         if "even-star" in chosen:
-            admissible = is_admissible(reduced_graph(graph, c), c)
+            admissible = _admissible(graph, nodes, kept, members)
             if evenstar != admissible:
                 fail(
                     "even-star",
-                    c,
+                    family.collection_at(index),
                     f"component evenness {evenstar} vs admissibility {admissible}",
                 )
         if "join" in chosen:
-            parts = _component_collections(graph, c)
-            pieces = [
-                saturated_odd_complex(graph, p, budget=budget, system=system)
-                for p in parts
-            ]
-            whole_vertices = set(saturated.vertices)
-            part_vertices = set()
+            pieces = [_saturated_tubes(system, s) for s in shares]
+            union = 0
             for p in pieces:
-                part_vertices |= set(p.vertices)
-            if whole_vertices != part_vertices:
-                fail("join", c, "vertex sets differ between whole and parts")
+                union |= p
+            if saturated != union:
+                fail("join", family.collection_at(index), "vertex sets differ between whole and parts")
             else:
                 prod = IntPolynomial.one()
                 for p in pieces:
-                    prod = prod * from_betti_suspended(p.betti_reduced(budget))
+                    prod = prod * from_betti_suspended(betti(p))
                 mine = from_betti_suspended(bv_saturated)
                 if prod != mine:
-                    fail("join", c, f"suspended {mine} vs product {prod}")
+                    fail("join", family.collection_at(index), f"suspended {mine} vs product {prod}")
         if "inflation" in chosen:
+            c = family.collection_at(index)
             if not inflation_matches(graph, c, budget=budget, system=system):
                 fail("inflation", c, "reduced-graph odd complex does not inflate")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import FaceBudget, SimplicialComplex, _bits, _clique_levels
-from .parity import _require_subset
+from .parity import _odd_tubes, _require_subset
 from .tubes import TubeSystem
 
 
@@ -120,30 +120,14 @@ def parity_subgraph_poset(
     _require_subset(graph, collection)
     budget = FaceBudget.ensure(budget)
     system = TubeSystem(graph, budget)
-    cmask = system.collection_mask(collection)
-    want_odd = parity == "odd"
-    idxs = [
-        i
-        for i in range(len(system.tubes))
-        if system.meet_is_odd(i, cmask) == want_odd
-    ]
-    k = len(idxs)
-    sep = [0] * k
-    for a in range(k):
-        ia = idxs[a]
-        for b in range(a + 1, k):
-            ib = idxs[b]
-            if (
-                system.node_masks[ia] & system.node_masks[ib] == 0
-                and system.neighbor_masks[ia] & system.node_masks[ib] == 0
-            ):
-                sep[a] |= 1 << b
-                sep[b] |= 1 << a
+    alive = _odd_tubes(system, system.collection_mask(collection))
+    if parity == "even":
+        alive ^= (1 << len(system.tubes)) - 1
 
     target = collection.members()
     elements = []
-    for mask in (m for level in _clique_levels(sep, (1 << k) - 1, budget) for m in level):
-        tubes = frozenset(system.tubes[idxs[a]] for a in _bits(mask))
+    for mask in (m for level in _clique_levels(system.separated, alive, budget) for m in level):
+        tubes = frozenset(system.tubes[a] for a in _bits(mask))
         members = frozenset().union(*(t.representation() for t in tubes))
         if exclude_collection and members == target:
             continue

@@ -8,15 +8,16 @@ node set together with the chosen bundle labels.
 Two distinct tubes are compatible when one representation properly
 contains the other, or when the tubes are separated (no shared node and no
 host edge between them).  The tubing complex is the flag complex of the
-compatibility relation.
+compatibility relation, which a :class:`TubeSystem` reads off one column
+per ground member: the bitmask of the tubes holding it.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .complexes import FaceBudget, SimplicialComplex
-from .errors import GraphError, HostMismatchError, VertexClashError
+from .complexes import FaceBudget, SimplicialComplex, _bits
+from .errors import GraphError, HostMismatchError
 
 
 class Tube:
@@ -194,7 +195,9 @@ def enumerate_tubes(graph, budget=None):
 
 class TubeSystem:
     """Precomputed tube data for one graph: representation bitmasks over the
-    ground set and the tubing complex, whose adjacency is compatibility.
+    ground set, one column per ground member (the bitmask of the tubes
+    whose representation holds it) and the tubing complex, whose adjacency
+    is compatibility.
 
     Everything downstream (parity complexes, tubing complexes, normals)
     reads from one of these instead of recomputing pair relations.  Every
@@ -207,8 +210,8 @@ class TubeSystem:
         "member_order",
         "member_index",
         "repr_masks",
-        "node_masks",
-        "neighbor_masks",
+        "columns",
+        "separated",
         "_complex",
     )
 
@@ -216,41 +219,35 @@ class TubeSystem:
         self.graph = graph
         self.tubes = enumerate_tubes(graph, budget)
         self.member_order = graph.ground_members()
-        self.member_index = graph.ground_index()
-        idx = self.member_index
-        node_bit = {n: 1 << idx[n] for n in graph.nodes}
-        self.repr_masks = []
-        self.node_masks = []
-        self.neighbor_masks = []
-        for t in self.tubes:
-            rm = 0
-            for m in t.representation():
-                rm |= 1 << idx[m]
-            nm = 0
-            bm = 0
-            for n in t.nodes:
-                nm |= node_bit[n]
-                for v in graph.neighbors(n):
-                    bm |= node_bit[v]
-            self.repr_masks.append(rm)
-            self.node_masks.append(nm)
-            self.neighbor_masks.append(bm)
-        n = len(self.tubes)
-        compat = [0] * n
-        for i in range(n):
-            ri = self.repr_masks[i]
-            ni = self.node_masks[i]
-            bi = self.neighbor_masks[i]
-            for j in range(i + 1, n):
-                rj = self.repr_masks[j]
-                ok = False
-                if ri != rj and (ri & ~rj == 0 or rj & ~ri == 0):
-                    ok = True
-                elif ni & self.node_masks[j] == 0 and bi & self.node_masks[j] == 0:
-                    ok = True
-                if ok:
-                    compat[i] |= 1 << j
-                    compat[j] |= 1 << i
+        self.member_index = idx = graph.ground_index()
+        self.repr_masks = [self.member_mask(t.representation()) for t in self.tubes]
+        self.columns = cols = [0] * len(self.member_order)
+        for j, rm in enumerate(self.repr_masks):
+            for i in _bits(rm):
+                cols[i] |= 1 << j
+        closed = [self.member_mask(graph.neighbors(n)) | 1 << idx[n] for n in graph.nodes]
+        full = (1 << len(self.tubes)) - 1
+        ground = (1 << len(cols)) - 1
+        nodes = (1 << len(closed)) - 1
+        # tube i is compatible with the tubes holding every member of its
+        # representation, with those holding no other member, and with
+        # those avoiding the closed neighbourhood of its nodes (separated)
+        self.separated = []
+        compat = []
+        for i, rm in enumerate(self.repr_masks):
+            sup = full
+            for m in _bits(rm):
+                sup &= cols[m]
+            beyond = 0
+            for m in _bits(ground & ~rm):
+                beyond |= cols[m]
+            near = reach = 0
+            for n in _bits(rm & nodes):
+                reach |= closed[n]
+            for n in _bits(reach):
+                near |= cols[n]
+            self.separated.append(full & ~near)
+            compat.append((sup | full & ~(beyond & near)) ^ 1 << i)
         self._complex = SimplicialComplex(self.tubes, compat)
 
     def member_mask(self, members):
@@ -262,21 +259,12 @@ class TubeSystem:
     def collection_mask(self, collection):
         return self.member_mask(collection.members())
 
-    def meet_is_odd(self, tube_index, collection_mask):
-        return bool((self.repr_masks[tube_index] & collection_mask).bit_count() & 1)
-
-    def complex_on(self, tube_indices):
-        """Full subcomplex of the tubing complex on the given tubes, in tube
-        order whatever the order of the indices; IndexError for an index
-        outside the tubes, VertexClashError for one given twice."""
-        n = len(self.tubes)
-        mask = 0
-        for i in tube_indices:
-            if not 0 <= i < n:
-                raise IndexError(f"tube index {i} out of range for {n} tubes")
-            if mask >> i & 1:
-                raise VertexClashError(f"tube index {i} given twice")
-            mask |= 1 << i
+    def complex_on(self, mask):
+        """Full subcomplex of the tubing complex on the tubes of the bitmask
+        ``mask``, bit i for tube i; IndexError for a negative mask or a bit
+        at or past the number of tubes."""
+        if mask < 0 or mask >> len(self.tubes):
+            raise IndexError(f"tube mask {mask:#x} out of range for {len(self.tubes)} tubes")
         return self._complex._on(mask)
 
     def tubing_complex(self):

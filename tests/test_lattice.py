@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubings import (
     Collection,
@@ -18,6 +22,8 @@ from tubings import (
     polytope_dimension,
     tube_incidence_matrix,
 )
+from tubings.lattice import _characteristic_row_masks
+from tubings.parity import _EvenFamily
 
 
 def test_labeled_matrix_accessors():
@@ -160,3 +166,42 @@ def test_connected_only():
         delzant_check(g)
     with pytest.raises(DisconnectedError):
         collection_parity_vector(g, Collection.of(g, [1, 2]))
+
+
+@st.composite
+def connected_pseudographs(draw):
+    """A connected pseudograph on at most five nodes with at most two
+    bundles, of two or three edges: a random spanning tree plus any
+    pairs."""
+    nodes = list(range(1, draw(st.integers(1, 5)) + 1))
+    pairs = {(draw(st.integers(1, v - 1)), v) for v in nodes[1:]}
+    pairs |= draw(st.sets(st.sampled_from(list(itertools.combinations(nodes, 2))))) if len(nodes) > 1 else set()
+    pairs = sorted(pairs)
+    fat = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2)) if pairs else []
+    edges = [(u, v, None) for u, v in pairs if (u, v) not in fat]
+    for alphabet, (u, v) in zip(("abc", "def"), fat):
+        edges += [(u, v, lab) for lab in alphabet[: draw(st.integers(2, 3))]]
+    return Pseudograph(nodes, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_pseudographs(), st.booleans())
+def test_odd_tube_masks_are_the_row_space_of_the_characteristic_matrix(g, first):
+    """Index for index, the XOR of the rows of Λ picked by the bits of an
+    even-collection index is the set of tubes meeting that collection
+    oddly, and distinct indices give distinct sets."""
+    d = Designation.first(g) if first else Designation.default(g)
+    system = TubeSystem(g)
+    rows = _characteristic_row_masks(g, d, system)
+    family = _EvenFamily(g, d)
+    seen = set()
+    for index in range(family.count()):
+        xor = 0
+        for j, row in enumerate(rows):
+            if index >> j & 1:
+                xor ^= row
+        members = family.collection_at(index).members()
+        odd = [i for i, t in enumerate(system.tubes) if len(t.representation() & members) % 2]
+        assert xor == sum(1 << i for i in odd)
+        seen.add(xor)
+    assert len(seen) == family.count()

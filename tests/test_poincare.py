@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tubings import poincare
 from tubings import (
     BettiVector,
     Collection,
@@ -12,10 +13,13 @@ from tubings import (
     GraphError,
     IntPolynomial,
     Pseudograph,
+    SimplicialComplex,
+    TubeSystem,
     a_polynomial,
     cross_check,
     delzant_check,
     enumerate_reductions,
+    even_collection_at,
     even_collections,
     from_betti_suspended,
     from_betti_tilde,
@@ -128,6 +132,67 @@ def test_cross_check_sampled(bundle_tree5):
     # the route comparison needs every collection, so a sample skips it
     assert report.poincare_reduced is None
     assert report.poincare_brute is None
+
+
+def _wrong_on_one_call(monkeypatch, name, wrong):
+    """Patch the verify-loop helper ``poincare.<name>`` so that its third
+    call returns ``wrong(result)``; the ground mask of the collection that
+    call was about is kept in the returned list."""
+    real = getattr(poincare, name)
+    calls, hit = [], []
+
+    def patched(*args):
+        result = real(*args)
+        calls.append(args[-1])
+        if len(calls) == 3:
+            hit.append(args[-1])
+            return wrong(result)
+        return result
+
+    monkeypatch.setattr(poincare, name, patched)
+    return hit
+
+
+@pytest.mark.parametrize("check, name, wrong", [
+    ("even-star", "_admissible", lambda admissible: not admissible),
+    # the empty complex: Betti vector (1,), nonzero
+    ("zero", "_saturated_tubes", lambda tubes: 0),
+])
+@pytest.mark.parametrize("first, sample", [(False, None), (False, 20), (True, None), (True, 20)])
+def test_cross_check_names_the_collection_a_check_fails_on(
+    monkeypatch, bundle_tree5, check, name, wrong, first, sample
+):
+    d = Designation.first(bundle_tree5) if first else None
+    hit = _wrong_on_one_call(monkeypatch, name, wrong)
+    report = cross_check(bundle_tree5, max_collections=sample, designation=d, checks=(check,))
+    assert not report.ok
+    [failure] = report.failures
+    assert failure.check == check
+    system = TubeSystem(bundle_tree5)
+    assert system.collection_mask(failure.collection) == hit[0]
+    if check == "even-star" and sample is None:
+        # _admissible runs once per collection, in index order
+        assert failure.collection == even_collection_at(bundle_tree5, 2, d)
+
+
+def test_every_complex_of_a_cross_check_is_built_once_and_ranked(monkeypatch, bundle_path4):
+    """The traced counters of complex_on and betti_reduced count the same
+    complexes: cross_check builds each one through complex_on."""
+    counts = {"complex_on": 0, "betti_reduced": 0}
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(TubeSystem, "complex_on")
+    counted(SimplicialComplex, "betti_reduced")
+    assert cross_check(bundle_path4).ok
+    assert counts["complex_on"] == counts["betti_reduced"] > 0
 
 
 def test_cross_check_rejects_unknown_names(bundle_path3):

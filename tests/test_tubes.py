@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from tubings import (
     Pseudograph,
     Tube,
     TubeSystem,
-    VertexClashError,
     compatible,
     enumerate_tubes,
     even_collections,
@@ -20,6 +20,7 @@ from tubings import (
     odd_tube_complex,
     tubing_complex,
 )
+from test_acceptance import _small_connected_family
 
 
 def names(tubes):
@@ -206,10 +207,9 @@ def test_complex_on_is_the_induced_tubing_complex(data):
     system = data.draw(st.sampled_from(SYSTEMS))
     tubes = system.tubes
     idxs = data.draw(st.lists(st.integers(0, len(tubes) - 1), unique=True))
-    sub = system.complex_on(idxs)
-    ordered = sorted(idxs)
-    # the vertices come in tube order, whatever the order of the indices
-    assert sub.vertices == tuple(tubes[i] for i in ordered)
+    sub = system.complex_on(sum(1 << i for i in idxs))
+    # the vertices come in tube order
+    assert sub.vertices == tuple(tubes[i] for i in sorted(idxs))
     assert sub.n_vertices() == len(idxs)
     # bit i is tube i: the masks are the tube system's own
     for i in range(len(tubes)):
@@ -223,14 +223,36 @@ def test_complex_on_is_the_induced_tubing_complex(data):
     assert induced.betti_reduced() == sub.betti_reduced()
 
 
+DISCONNECTED = (
+    Pseudograph([1, 2, 3, 4, 5], [(1, 2, "a"), (1, 2, "b"), (2, 3, None), (4, 5, None)]),
+    Pseudograph([1, 2, 3, 4], [(1, 2, None), (1, 3, None), (2, 3, None)]),
+)
+
+
+def test_column_built_adjacency_is_pairwise_compatibility():
+    """Every 10th graph of criterion 7's family and two disconnected ones:
+    the masks built from the member columns are the pair relation."""
+    family = itertools.islice(_small_connected_family(), 0, None, 10)
+    for g in itertools.chain((g for _, g in family), DISCONNECTED):
+        system = TubeSystem(g)
+        tubes = system.tubes
+        adj = system.tubing_complex()._adj
+        for i, a in enumerate(tubes):
+            assert adj[i] == sum(1 << j for j, b in enumerate(tubes) if compatible(a, b))
+            assert system.separated[i] == sum(
+                1 << j for j, b in enumerate(tubes) if a.separated_from(b)
+            )
+        for m, col in zip(system.member_order, system.columns):
+            assert col == sum(1 << j for j, t in enumerate(tubes) if m in t.representation())
+
+
 def test_complex_on_rejects_bad_indices():
     system = SYSTEMS[0]
     n = len(system.tubes)
-    with pytest.raises(VertexClashError):
-        system.complex_on([0, 1, 0])
-    for bad in (n, -1):
+    assert system.complex_on((1 << n) - 1).n_vertices() == n
+    for bad in (1 << n | 1, -1):
         with pytest.raises(IndexError):
-            system.complex_on([0, bad])
+            system.complex_on(bad)
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -239,7 +261,7 @@ def test_bit_i_of_every_odd_complex_is_tube_i(system):
     for c in even_collections(system.graph):
         cmask = system.collection_mask(c)
         k = odd_tube_complex(system.graph, c, system=system)
-        odd = [i for i in range(len(tubes)) if system.meet_is_odd(i, cmask)]
+        odd = [i for i, rm in enumerate(system.repr_masks) if (rm & cmask).bit_count() & 1]
         assert k.vertices == tuple(tubes[i] for i in odd)
         faces = {
             tuple(tubes[i] for i in range(len(tubes)) if mask >> i & 1)
