@@ -417,8 +417,14 @@ def touched_subgraph(graph, collection):
 def reduced_graph(graph, collection):
     """Touched subgraph with every bundle that misses the collection
     collapsed to a single unlabelled edge."""
-    collapsed = [b for b in graph.bundles if collection.labels.isdisjoint(b.labels)]
-    return _reduction(graph, touched_nodes(graph, collection), collapsed)
+    return _reduction(graph, *_reduction_of(graph, collection))
+
+
+def _reduction_of(graph, collection):
+    """The reduced graph of ``collection`` as a hashable (nodes, collapsed)
+    key for :func:`_reduction`, read off the collection itself."""
+    collapsed = tuple(b for b in graph.bundles if collection.labels.isdisjoint(b.labels))
+    return touched_nodes(graph, collection), collapsed
 
 
 def _reduction(graph, nodes, collapsed):
@@ -495,20 +501,6 @@ def _reduction_key(graph, members):
     for ends, _ in kept:
         nodes |= ends
     return nodes, kept
-
-
-def _admissible(graph, nodes, kept, members):
-    """:func:`~tubings.parity.is_admissible` of the even collection with
-    ground bitmask ``members`` on the reduction keyed by the node bitmask
-    ``nodes`` and the (ends, labels) masks of the bundles ``kept``, all of
-    which it meets: each component holds an even number of its nodes, and
-    it holds every node that is no end of a kept bundle."""
-    ends = 0
-    for e, _ in kept:
-        ends |= e
-    if nodes & ~ends & ~members:
-        return False
-    return all(not (members & comp).bit_count() & 1 for comp in _split(graph, nodes))
 
 
 def enumerate_reductions(graph):

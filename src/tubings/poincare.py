@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 from .complexes import FaceBudget
 from .graphs import (
-    _admissible,
+    _reduction,
     _reduction_key,
+    _reduction_of,
     admissible_reduction_classes,
     enumerate_reductions,
     reduced_graph,
@@ -34,6 +35,7 @@ from .parity import (
     collection_orbits,
     has_admissible,
     inflation_matches,
+    is_admissible,
     odd_tube_complex,
 )
 from .tubes import TubeSystem
@@ -238,6 +240,7 @@ def cross_check(
         indices = range(total)
     failures = []
     seen_failed = set()
+    reductions = {}  # even-star's reduced graphs, built once per key
 
     def fail(check, collection, detail):
         if check not in seen_failed:
@@ -277,13 +280,13 @@ def cross_check(
             if not bv.is_zero():
                 fail("zero", family.collection_at(index), f"odd component share but betti {bv!r}")
         if "even-star" in chosen:
-            admissible = _admissible(graph, nodes, kept, members)
+            c = family.collection_at(index)
+            key = _reduction_of(graph, c)
+            if key not in reductions:
+                reductions[key] = _reduction(graph, *key)
+            admissible = is_admissible(reductions[key], c)
             if evenstar != admissible:
-                fail(
-                    "even-star",
-                    family.collection_at(index),
-                    f"component evenness {evenstar} vs admissibility {admissible}",
-                )
+                fail("even-star", c, f"component evenness {evenstar} vs admissibility {admissible}")
         if "join" in chosen:
             pieces = [_saturated_tubes(system, s) for s in shares]
             union = 0

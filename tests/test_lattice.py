@@ -187,11 +187,22 @@ def connected_pseudographs(draw):
 @settings(max_examples=60, deadline=None)
 @given(connected_pseudographs(), st.booleans())
 def test_odd_tube_masks_are_the_row_space_of_the_characteristic_matrix(g, first):
-    """Index for index, the XOR of the rows of Λ picked by the bits of an
-    even-collection index is the set of tubes meeting that collection
-    oddly, and distinct indices give distinct sets."""
+    """Λ is the facet normals mod 2: the normal generator matrix reduced mod
+    2 times the tube incidence matrix, both built here from the tubes'
+    representations.  Index for index, the XOR of the rows of Λ picked by
+    the bits of an even-collection index is the set of tubes meeting that
+    collection oddly, and distinct indices give distinct sets."""
     d = Designation.first(g) if first else Designation.default(g)
     system = TubeSystem(g)
+    reps = [t.representation() for t in system.tubes]
+    incidence = [[int(m in rep) for rep in reps] for m in g.ground_members()]
+    assert tube_incidence_matrix(g).to_lists() == incidence
+    normals = normal_generator_matrix(g, d)
+    lam = characteristic_matrix(g, d)
+    assert lam.row_labels == normals.row_labels
+    for row, lam_row in zip(normals.entries, lam.entries):
+        column_sums = [sum(a * b for a, b in zip(row, col)) % 2 for col in zip(*incidence)]
+        assert list(lam_row) == column_sums
     rows = _characteristic_row_masks(g, d, system)
     family = _EvenFamily(g, d)
     seen = set()

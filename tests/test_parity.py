@@ -28,7 +28,7 @@ from tubings import (
     saturated_odd_complex,
     touched_subgraph,
 )
-from tubings.graphs import _admissible, _reduction_key
+from tubings.graphs import _reduction_key
 from tubings.parity import _odd_tubes, _shares
 from test_acceptance import _small_connected_family
 
@@ -248,9 +248,9 @@ def test_admissible_iff_reduced_graph_admits(bundle_path4):
 
 def test_verify_loop_helpers_match_the_touched_subgraph():
     """Every even collection of every 10th graph of criterion 7's family:
-    the reduction key, the collection split, the admissibility on the key,
-    the reduced graph and the odd tubes agree with what the touched
-    subgraph, the reduced graph and a per-tube parity test give."""
+    the reduction key, the collection split, the component evenness, the
+    reduced graph and the odd tubes agree with what the touched subgraph,
+    the reduced graph and a per-tube parity test give."""
     for _, g in itertools.islice(_small_connected_family(), 0, None, 10):
         system = TubeSystem(g)
         mask = system.member_mask
@@ -269,24 +269,12 @@ def test_verify_loop_helpers_match_the_touched_subgraph():
                 for comp in sub.component_nodesets()
             ]
             assert _shares(g, nodes, kept, cmask) == [system.collection_mask(p) for p in parts]
-            admissible = is_admissible(reduced_graph(g, c), c)
-            assert _admissible(g, nodes, kept, cmask) == admissible == components_all_even(g, c)
+            evenstar = not any(s.bit_count() & 1 for s in _shares(g, nodes, kept, cmask))
+            assert evenstar == is_admissible(reduced_graph(g, c), c) == components_all_even(g, c)
             collapsed = [(b.u, b.v) for b in sub.bundles if b not in met]
             assert reduced_graph(g, c) == sub.partial_underlying(collapsed)
             odd = [i for i, rm in enumerate(system.repr_masks) if (rm & cmask).bit_count() & 1]
             assert _odd_tubes(system, cmask) == sum(1 << i for i in odd)
-
-
-def test_admissibility_on_the_whole_graphs_key(bundle_path3, bundle_cycle4, bundle_tree5):
-    """On the key of the whole graph, which keeps every bundle, the key test
-    is is_admissible for every even collection meeting every bundle."""
-    for g in (bundle_path3, bundle_cycle4, bundle_tree5):
-        system = TubeSystem(g)
-        kept = [(system.member_mask((b.u, b.v)), system.member_mask(b.labels)) for b in g.bundles]
-        for c in even_collections(g):
-            if all(c.labels & set(b.labels) for b in g.bundles):
-                key = (system.member_mask(g.nodes), kept)
-                assert _admissible(g, *key, system.collection_mask(c)) == is_admissible(g, c)
 
 
 def test_admissible_collection_recovers_its_reduction(bundle_path3):

@@ -136,8 +136,8 @@ def test_cross_check_sampled(bundle_tree5):
 
 def _wrong_on_one_call(monkeypatch, name, wrong):
     """Patch the verify-loop helper ``poincare.<name>`` so that its third
-    call returns ``wrong(result)``; the ground mask of the collection that
-    call was about is kept in the returned list."""
+    call returns ``wrong(result)``; the collection that call was about, its
+    last argument, is kept in the returned list."""
     real = getattr(poincare, name)
     calls, hit = [], []
 
@@ -153,8 +153,15 @@ def _wrong_on_one_call(monkeypatch, name, wrong):
     return hit
 
 
+def _flip_evenness(shares):
+    """Shares of the opposite component evenness."""
+    return [1] if not any(s.bit_count() & 1 for s in shares) else [0]
+
+
 @pytest.mark.parametrize("check, name, wrong", [
-    ("even-star", "_admissible", lambda admissible: not admissible),
+    # the reduced graph's side of even-star, and the bitmask side
+    ("even-star", "is_admissible", lambda admissible: not admissible),
+    ("even-star", "_shares", _flip_evenness),
     # the empty complex: Betti vector (1,), nonzero
     ("zero", "_saturated_tubes", lambda tubes: 0),
 ])
@@ -168,10 +175,12 @@ def test_cross_check_names_the_collection_a_check_fails_on(
     assert not report.ok
     [failure] = report.failures
     assert failure.check == check
-    system = TubeSystem(bundle_tree5)
-    assert system.collection_mask(failure.collection) == hit[0]
+    named = failure.collection
+    if not isinstance(hit[0], Collection):
+        named = TubeSystem(bundle_tree5).collection_mask(named)
+    assert named == hit[0]
     if check == "even-star" and sample is None:
-        # _admissible runs once per collection, in index order
+        # both sides run once per collection, in index order
         assert failure.collection == even_collection_at(bundle_tree5, 2, d)
 
 
