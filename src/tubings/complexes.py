@@ -377,16 +377,13 @@ class SimplicialComplex:
 
         order_idx = sorted(range(len(facets)), key=lambda i: (-facets[i].bit_count(), facets[i]))
         sizes = [facets[i].bit_count() for i in order_idx]
-        blocks = []
+        # the candidates for position k: the facets of the size block holding k
+        block_at = []
         start = 0
         for k in range(1, len(order_idx) + 1):
             if k == len(order_idx) or sizes[k] != sizes[start]:
-                blocks.append(order_idx[start:k])
+                block_at += [order_idx[start:k]] * (k - start)
                 start = k
-
-        failed = set()
-        expansions = 0
-        total = len(facets)
 
         def addable(fmask, chosen):
             need = fmask.bit_count() - 1
@@ -397,45 +394,37 @@ class SimplicialComplex:
                     return False
             return True
 
-        def dfs(chosen_mask, chosen):
-            nonlocal expansions
-            if len(chosen) == total:
-                return list(chosen)
-            if chosen_mask in failed:
-                return None
-            done = len(chosen)
-            acc = 0
-            for block in blocks:
-                if done < acc + len(block):
-                    current = block
-                    break
-                acc += len(block)
-            for i in current:
+        # depth-first over orders, one candidate iterator per open position
+        failed = set()
+        expansions = 0
+        chosen, chosen_mask = [], 0
+        stack = [iter(block_at[0])]
+        while stack:
+            for i in stack[-1]:
                 if chosen_mask >> i & 1:
                     continue
                 expansions += 1
                 if expansions > max_expansions:
-                    raise _ExpansionBudget
-                if addable(facets[i], chosen):
-                    chosen.append(i)
-                    res = dfs(chosen_mask | (1 << i), chosen)
-                    if res is not None:
-                        return res
+                    return ShellingReport("unknown", None, expansions)
+                if not addable(facets[i], chosen):
+                    continue
+                chosen.append(i)
+                chosen_mask |= 1 << i
+                if len(chosen) == len(facets):
+                    return ShellingReport("yes", tuple(faces[j] for j in chosen), expansions)
+                if chosen_mask in failed:
                     chosen.pop()
-            failed.add(chosen_mask)
-            return None
-
-        try:
-            found = dfs(0, [])
-        except _ExpansionBudget:
-            return ShellingReport("unknown", None, expansions)
-        if found is None:
-            return ShellingReport("no", None, expansions)
-        return ShellingReport("yes", tuple(faces[i] for i in found), expansions)
-
-
-class _ExpansionBudget(Exception):
-    pass
+                    chosen_mask ^= 1 << i
+                    continue
+                stack.append(iter(block_at[len(chosen)]))
+                break
+            else:
+                # every candidate failed: no order extends this prefix
+                failed.add(chosen_mask)
+                stack.pop()
+                if chosen:
+                    chosen_mask ^= 1 << chosen.pop()
+        return ShellingReport("no", None, expansions)
 
 
 def _betti_from_levels(levels):

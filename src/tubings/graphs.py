@@ -72,10 +72,10 @@ class Pseudograph:
         "_ground_index",
         "_key",
         "_hash",
+        "_neighbour_masks",  # per node, the node bitmask of its neighbours
+        "_bundle_masks",  # per bundle, the ground bitmasks of its ends and labels
         "_components",
-        "_neighbour_masks",  # filled by _split on its first call
-        "_bundle_masks",  # filled by _bundle_masks on its first call
-        "_poincare",  # filled by poincare_reduced on its first call
+        "_poincare",  # the one slot filled later, by poincare_reduced
     )
 
     def __init__(self, nodes=(), edges=()):
@@ -141,9 +141,18 @@ class Pseudograph:
             frozenset((u, v, lab) for u, v, lab in norm if lab is not None),
         )
         self._hash = hash(self._key)
-        self._components = None
-        self._neighbour_masks = None
-        self._bundle_masks = None
+        index = self._ground_index
+        self._neighbour_masks = tuple(
+            sum(1 << index[w] for w in self._adjacency[n]) for n in node_list
+        )
+        self._bundle_masks = tuple(
+            (1 << index[b.u] | 1 << index[b.v], sum(1 << index[x] for x in b.labels))
+            for b in bundles
+        )
+        self._components = tuple(
+            frozenset(n for i, n in enumerate(node_list) if comp >> i & 1)
+            for comp in _split(self, (1 << len(node_list)) - 1)
+        )
         self._poincare = None
 
     # -- basic structure ------------------------------------------------
@@ -202,11 +211,6 @@ class Pseudograph:
 
     def component_nodesets(self):
         """Connected components as frozensets of nodes, ordered by min node."""
-        if self._components is None:
-            self._components = tuple(
-                frozenset(n for i, n in enumerate(self._nodes) if comp >> i & 1)
-                for comp in _split(self, (1 << len(self._nodes)) - 1)
-            )
         return self._components
 
     def is_connected(self):
@@ -449,12 +453,8 @@ def _reduction_keys(graph):
 
 def _split(graph, mask):
     """The components of the subgraph induced on the node bitmask ``mask``
-    (bit i is ``graph.nodes[i]``), as node bitmasks, least node first."""
-    if graph._neighbour_masks is None:
-        index = graph._ground_index
-        graph._neighbour_masks = tuple(
-            sum(1 << index[w] for w in graph._adjacency[n]) for n in graph._nodes
-        )
+    (bit i is ``graph.nodes[i]``), as node bitmasks, least node first.
+    Every connectivity question of the package comes here."""
     nbr, comps = graph._neighbour_masks, []
     while mask:
         comp = grow = mask & -mask
@@ -466,17 +466,6 @@ def _split(graph, mask):
         comps.append(comp)
         mask ^= comp
     return comps
-
-
-def _bundle_masks(graph):
-    """Per bundle, the ground bitmasks of its two ends and of its labels."""
-    if graph._bundle_masks is None:
-        index = graph._ground_index
-        graph._bundle_masks = tuple(
-            (1 << index[b.u] | 1 << index[b.v], sum(1 << index[x] for x in b.labels))
-            for b in graph._bundles
-        )
-    return graph._bundle_masks
 
 
 def _admits(graph, nodes, collapsed=()):
@@ -496,7 +485,7 @@ def _reduction_key(graph, members):
     """The reduced graph of the collection with ground bitmask ``members``
     as a key: its touched nodes as a node bitmask, and the (ends, labels)
     masks of the bundles it meets, the ones the reduction keeps."""
-    kept = [b for b in _bundle_masks(graph) if members & b[1]]
+    kept = [b for b in graph._bundle_masks if members & b[1]]
     nodes = members & ((1 << len(graph._nodes)) - 1)
     for ends, _ in kept:
         nodes |= ends

@@ -33,7 +33,11 @@ class GraphDocument:
     @classmethod
     def from_path(cls, path):
         with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise GraphSyntaxError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        return cls.from_text(text)
 
 
 def _parse_id(token, lineno, what):

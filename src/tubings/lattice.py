@@ -124,11 +124,11 @@ def tube_incidence_matrix(graph, budget=None):
     return LabeledMatrix(graph.ground_members(), cols, entries)
 
 
-def _characteristic_row_masks(graph, d, system):
-    """Rows of the characteristic matrix for the resolved designation ``d``,
-    as bitmasks over the tube columns of ``system``: the parity map of
-    each row of :class:`~tubings.parity._EvenFamily`."""
-    return [_odd_tubes(system, row) for row in _EvenFamily(graph, d).rows]
+def _characteristic_row_masks(system, designation=None):
+    """Rows of the characteristic matrix as bitmasks over the tube columns
+    of ``system``: the parity map of each row of
+    :class:`~tubings.parity._EvenFamily`."""
+    return [_odd_tubes(system, row) for row in _EvenFamily(system.graph, designation).rows]
 
 
 def characteristic_matrix(graph, designation=None, budget=None):
@@ -136,7 +136,7 @@ def characteristic_matrix(graph, designation=None, budget=None):
     _require_connected(graph)
     system = TubeSystem(graph, budget)
     d = Designation.resolve(graph, designation)
-    masks = _characteristic_row_masks(graph, d, system)
+    masks = _characteristic_row_masks(system, d)
     rows = restricted_ground(graph, d)
     cols = tuple(t.name() for t in system.tubes)
     n = len(system.tubes)
@@ -144,11 +144,11 @@ def characteristic_matrix(graph, designation=None, budget=None):
     return LabeledMatrix(rows, cols, entries)
 
 
-def characteristic_rank(graph, designation=None, budget=None):
+def characteristic_rank(graph, budget=None):
+    """GF(2) rank of the characteristic matrix.  Row operations keep the
+    rank, so it is the same for every designation; the default is used."""
     _require_connected(graph)
-    system = TubeSystem(graph, budget)
-    d = Designation.resolve(graph, designation)
-    return gf2_rank(_characteristic_row_masks(graph, d, system))
+    return gf2_rank(_characteristic_row_masks(TubeSystem(graph, budget)))
 
 
 def collection_parity_vector(graph, collection, budget=None):
@@ -176,14 +176,17 @@ class DelzantReport:
     failures: tuple
 
 
-def delzant_check(graph, budget=None, designation=None):
+def delzant_check(graph, budget=None):
     """Verify determinant +-1 for the normal matrix of every maximal
-    tubing, plus the expected tubing size and characteristic rank."""
+    tubing, plus the expected tubing size and characteristic rank.
+
+    Both reports are taken in the default designation: a change of
+    designation is a unimodular change of basis, which keeps every |det|,
+    and a sequence of GF(2) row operations, which keeps the rank."""
     _require_connected(graph)
     budget = FaceBudget.ensure(budget)
     system = TubeSystem(graph, budget)
-    d = Designation.resolve(graph, designation)
-    matrix = normal_generator_matrix(graph, d)
+    matrix = normal_generator_matrix(graph)
     dim = polytope_dimension(graph)
     failures = []
     sizes = set()
@@ -199,7 +202,7 @@ def delzant_check(graph, budget=None, designation=None):
         det = det_bareiss(rows)
         if abs(det) != 1:
             failures.append(DelzantFailure(names, f"determinant {det}"))
-    rank = gf2_rank(_characteristic_row_masks(graph, d, system))
+    rank = gf2_rank(_characteristic_row_masks(system))
     if rank != dim:
         failures.append(DelzantFailure((), f"characteristic rank {rank} != {dim}"))
     return DelzantReport(

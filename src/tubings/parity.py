@@ -29,7 +29,6 @@ from .graphs import (
     Collection,
     Designation,
     _admits,
-    _bundle_masks,
     _reduction_key,
     _split,
     automorphism_generators,
@@ -138,12 +137,11 @@ def odd_tube_complex(graph, collection, budget=None, system=None):
     return system.complex_on(_odd_tubes(system, system.collection_mask(collection)))
 
 
-def even_tube_complex(graph, collection, budget=None, system=None):
+def even_tube_complex(graph, collection, budget=None):
     """Subcomplex of the tubing complex on tubes meeting the collection
     evenly."""
     _require_subset(graph, collection)
-    if system is None:
-        system = TubeSystem(graph, budget)
+    system = TubeSystem(graph, budget)
     odd = _odd_tubes(system, system.collection_mask(collection))
     return system.complex_on((1 << len(system.tubes)) - 1 & ~odd)
 
@@ -158,11 +156,10 @@ def _confined_tubes(system, members):
     return tubes
 
 
-def confined_odd_complex(graph, collection, budget=None, system=None):
+def confined_odd_complex(graph, collection, budget=None):
     """Odd subcomplex restricted to tubes inside the touched node set."""
     _require_subset(graph, collection)
-    if system is None:
-        system = TubeSystem(graph, budget)
+    system = TubeSystem(graph, budget)
     return system.complex_on(_confined_tubes(system, system.collection_mask(collection)))
 
 
@@ -171,7 +168,7 @@ def _saturated_tubes(system, members):
     misses, the tubes holding both ends but not every label."""
     tubes = _confined_tubes(system, members)
     cols = system.columns
-    for ends, labels in _bundle_masks(system.graph):
+    for ends, labels in system.graph._bundle_masks:
         if not members & labels:
             u, v = _bits(ends)
             whole = cols[u] & cols[v]
@@ -181,15 +178,14 @@ def _saturated_tubes(system, members):
     return tubes
 
 
-def saturated_odd_complex(graph, collection, budget=None, system=None):
+def saturated_odd_complex(graph, collection, budget=None):
     """Confined odd subcomplex with bundle-incomplete tubes dropped.
 
     A tube is dropped when both endpoints of a bundle the collection
     misses lie inside it but some of that bundle's edges are absent.
     """
     _require_subset(graph, collection)
-    if system is None:
-        system = TubeSystem(graph, budget)
+    system = TubeSystem(graph, budget)
     return system.complex_on(_saturated_tubes(system, system.collection_mask(collection)))
 
 

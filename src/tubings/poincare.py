@@ -137,18 +137,26 @@ def from_betti_tilde(betti):
     return IntPolynomial(betti.to_list()[1:])
 
 
+def _orbit_sum(graph, budget, admissible, polynomial):
+    """Sum over the graph's even collections, or only its admissible ones,
+    of ``polynomial`` of the reduced Betti vector of their odd tube
+    subcomplexes, one term per orbit under the graph's automorphisms, times
+    its size."""
+    system = TubeSystem(graph, budget)
+    total = IntPolynomial.zero()
+    for c, weight in collection_orbits(graph, admissible):
+        complex_ = odd_tube_complex(graph, c, budget=budget, system=system)
+        total = total + polynomial(complex_.betti_reduced(budget)) * weight
+    return total
+
+
 def a_polynomial(graph, budget=None):
     """Sum over the graph's admissible collections of the reduced Betti
-    polynomials of their odd tube subcomplexes, one term per orbit of
-    collections under the graph's automorphisms, times its size."""
+    polynomials of their odd tube subcomplexes."""
     budget = FaceBudget.ensure(budget)
-    total = IntPolynomial.zero()
-    if has_admissible(graph):
-        system = TubeSystem(graph, budget)
-        for c, weight in collection_orbits(graph, admissible=True):
-            complex_ = odd_tube_complex(graph, c, budget=budget, system=system)
-            total = total + from_betti_tilde(complex_.betti_reduced(budget)) * weight
-    return total
+    if not has_admissible(graph):
+        return IntPolynomial.zero()
+    return _orbit_sum(graph, budget, True, from_betti_tilde)
 
 
 def poincare_reduced(graph, budget=None):
@@ -166,15 +174,9 @@ def poincare_reduced(graph, budget=None):
 
 
 def poincare_brute(graph, budget=None):
-    """Poincaré polynomial summed over all even collections directly, one
-    term per orbit under the graph's automorphisms, times its size."""
-    budget = FaceBudget.ensure(budget)
-    system = TubeSystem(graph, budget)
-    total = IntPolynomial.zero()
-    for c, weight in collection_orbits(graph):
-        complex_ = odd_tube_complex(graph, c, budget=budget, system=system)
-        total = total + from_betti_suspended(complex_.betti_reduced(budget)) * weight
-    return total
+    """Poincaré polynomial summed over all even collections directly: the
+    suspended reduced Betti polynomials of their odd tube subcomplexes."""
+    return _orbit_sum(graph, FaceBudget.ensure(budget), False, from_betti_suspended)
 
 
 ALL_CHECKS = (

@@ -18,6 +18,7 @@ import itertools
 
 from .complexes import FaceBudget, SimplicialComplex, _bits
 from .errors import GraphError, HostMismatchError
+from .graphs import _split
 
 
 class Tube:
@@ -41,11 +42,13 @@ class Tube:
         unknown = self._nodes - set(host.nodes)
         if unknown:
             raise GraphError(f"tube uses unknown nodes {sorted(unknown)}")
-        sub = host.induced_subgraph(self._nodes)
-        if not sub.is_connected():
+        index = host.ground_index()
+        if len(_split(host, sum(1 << index[n] for n in self._nodes))) != 1:
             raise GraphError(f"tube nodes {sorted(self._nodes)} are not connected")
         internal = set()
-        for b in sub.bundles:
+        for b in host.bundles:
+            if b.u not in self._nodes or b.v not in self._nodes:
+                continue
             chosen = self._labels & set(b.labels)
             if not chosen:
                 raise GraphError(
@@ -138,38 +141,21 @@ def enumerate_tubes(graph, budget=None):
     budget = FaceBudget.ensure(budget)
     out = []
     connected = graph.is_connected()
+    index = graph.ground_index()
     for comp in graph.component_nodesets():
-        comp_nodes = sorted(comp)
-        index = {n: i for i, n in enumerate(comp_nodes)}
-        nbr_masks = []
-        for n in comp_nodes:
-            m = 0
-            for v in graph.neighbors(n):
-                if v in index:
-                    m |= 1 << index[v]
-            nbr_masks.append(m)
-        size = len(comp_nodes)
-        for mask in range(1, 1 << size):
+        comp_mask = sum(1 << index[n] for n in comp)
+        # each nonempty node subset is charged, connected or not
+        mask = comp_mask
+        while mask:
             budget.charge()
-            bits = [i for i in range(size) if mask >> i & 1]
-            # connectivity of the induced node set
-            seen = 1 << bits[0]
-            stack = [bits[0]]
-            while stack:
-                cur = stack.pop()
-                frontier = nbr_masks[cur] & mask & ~seen
-                while frontier:
-                    b = frontier & -frontier
-                    frontier ^= b
-                    seen |= b
-                    stack.append(b.bit_length() - 1)
-            if seen != mask:
+            sub, mask = mask, (mask - 1) & comp_mask
+            if len(_split(graph, sub)) != 1:
                 continue
-            nodes = frozenset(comp_nodes[i] for i in bits)
+            nodes = frozenset(graph.nodes[i] for i in _bits(sub))
             internal = [
                 b for b in graph.bundles if b.u in nodes and b.v in nodes
             ]
-            whole_graph = connected and len(nodes) == size
+            whole_graph = connected and sub == comp_mask
             if not internal:
                 if whole_graph:
                     continue

@@ -221,6 +221,16 @@ def test_shellable_yes_cases():
     assert nonpure.shellable().status == "yes"
 
 
+def test_shellable_search_deeper_than_the_recursion_limit():
+    """A path of 1,200 vertices: the search picks its 1,199 edges one per
+    level, in path order, with no backtracking."""
+    path = SimplicialComplex.flag(range(1200), lambda u, v: abs(u - v) == 1)
+    rep = path.shellable()
+    assert rep.status == "yes"
+    assert rep.order == tuple((i, i + 1) for i in range(1199))
+    assert rep.expansions == 1199
+
+
 def test_shellable_no_for_disconnected():
     rep = graph_complex([(1, 2), (3, 4)]).shellable()
     assert rep.status == "no"

@@ -230,6 +230,19 @@ def test_cli_bad_input(tmp_path, graph_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_cli_graph_file_not_utf8(tmp_path, capsys, flags):
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(b"\xff\xfe")
+    with pytest.raises(GraphSyntaxError):
+        GraphDocument.from_path(bad)
+    assert main(["tubes", str(bad), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "not UTF-8" in captured.err
+
+
 def test_cli_budget_exhaustion(graph_file, capsys):
     assert main(["complex", graph_file, "--face-budget", "5"]) == 3
     assert "face budget of 5 exceeded" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from tubings import (
     polytope_dimension,
     tube_incidence_matrix,
 )
+from tubings._intlinalg import det_bareiss
 from tubings.lattice import _characteristic_row_masks
 from tubings.parity import _EvenFamily
 
@@ -149,11 +150,28 @@ def test_delzant_double_bundle(bundle_path4):
     assert report.characteristic_rank == 5
 
 
-def test_delzant_other_designation(bundle_path4):
-    report = delzant_check(bundle_path4, designation=Designation.first(bundle_path4))
+def test_delzant_other_designation(bundle_path3, bundle_path4):
+    """delzant_check works in the default designation only; every other
+    designation is checked here directly: |det| = 1 over every maximal
+    tubing, the facet normals read off that designation's generator
+    matrix."""
+    report = delzant_check(bundle_path4)
     assert report.ok, report.failures
     assert report.tubings_checked == 260
     assert report.characteristic_rank == 5
+    middle = {
+        bundle_path3: Designation(nodes=frozenset({2}), labels=frozenset({"b"})),
+        bundle_path4: Designation(nodes=frozenset({2}), labels=frozenset({"b", "c"})),
+    }
+    for g in (bundle_path3, bundle_path4):
+        system = TubeSystem(g)
+        masks = system.tubing_complex().maximal_face_masks()
+        for d in (Designation.first(g), middle[g]):
+            matrix = normal_generator_matrix(g, d)
+            for mask in masks:
+                tubes = [t for i, t in enumerate(system.tubes) if mask >> i & 1]
+                rows = [list(facet_normal(g, t, matrix=matrix)) for t in tubes]
+                assert abs(det_bareiss(rows)) == 1, (d, [t.name() for t in tubes])
 
 
 def test_connected_only():
@@ -203,7 +221,7 @@ def test_odd_tube_masks_are_the_row_space_of_the_characteristic_matrix(g, first)
     for row, lam_row in zip(normals.entries, lam.entries):
         column_sums = [sum(a * b for a, b in zip(row, col)) % 2 for col in zip(*incidence)]
         assert list(lam_row) == column_sums
-    rows = _characteristic_row_masks(g, d, system)
+    rows = _characteristic_row_masks(system, d)
     family = _EvenFamily(g, d)
     seen = set()
     for index in range(family.count()):

@@ -21,6 +21,7 @@ from tubings import (
     tubing_complex,
 )
 from test_acceptance import _small_connected_family
+from test_symmetry import pseudographs
 
 
 def names(tubes):
@@ -76,28 +77,88 @@ def test_enumerate_tube_counts(bundle_path4, bundle_tree5, bundle_cycle4):
     assert len(enumerate_tubes(bundle_cycle4)) == 20
 
 
-def test_enumerate_tubes_matches_direct_filter(bundle_path4):
-    """Cross-check the enumerator against a filter over all candidates."""
-    import itertools
+def connected_by_search(graph, nodes):
+    """Whether the node set induces a connected subgraph, by a search over
+    the graph's neighbour sets."""
+    start = min(nodes)
+    seen, queue = {start}, [start]
+    for u in queue:
+        for w in graph.neighbors(u):
+            if w in nodes and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen == nodes
 
-    g = bundle_path4
+
+def tubes_by_filter(graph):
+    """Every tube as (nodes, labels), straight from the definition: a
+    connected node set with a nonempty label subset of each bundle inside
+    it, and not the whole graph with every label."""
+    everything = (frozenset(graph.nodes), frozenset(graph.bundle_labels))
     found = set()
-    nodes = list(g.nodes)
-    for r in range(1, len(nodes) + 1):
-        for sub in itertools.combinations(nodes, r):
-            inner = [b for b in g.bundles if b.u in set(sub) and b.v in set(sub)]
+    for r in range(1, len(graph.nodes) + 1):
+        for sub in itertools.combinations(graph.nodes, r):
+            nodes = frozenset(sub)
+            if not connected_by_search(graph, nodes):
+                continue
             pools = [
-                [c for k in range(1, len(b.labels) + 1)
-                 for c in itertools.combinations(b.labels, k)]
-                for b in inner
+                [c for k in range(1, len(b.labels) + 1) for c in itertools.combinations(b.labels, k)]
+                for b in graph.bundles
+                if b.u in nodes and b.v in nodes
             ]
-            for choice in itertools.product(*pools) if pools else [()]:
-                labels = [lab for grp in choice for lab in grp]
-                try:
-                    found.add(Tube(g, sub, labels))
-                except GraphError:
-                    pass
-    assert found == set(enumerate_tubes(g))
+            for choice in itertools.product(*pools):
+                labels = frozenset(lab for grp in choice for lab in grp)
+                if (nodes, labels) != everything:
+                    found.add((nodes, labels))
+    return found
+
+
+def assert_tubes_match_filter(g):
+    tubes = enumerate_tubes(g)
+    expected = tubes_by_filter(g)
+    assert len(tubes) == len(expected)
+    assert {(t.nodes, t.labels) for t in tubes} == expected
+    # and Tube's own check accepts exactly these candidates
+    for r in range(1, len(g.nodes) + 1):
+        for sub in itertools.combinations(g.nodes, r):
+            nodes = frozenset(sub)
+            labels = [lab for b in g.bundles if b.u in nodes and b.v in nodes for lab in b.labels]
+            for k in range(len(labels) + 1):
+                for picked in itertools.combinations(labels, k):
+                    try:
+                        Tube(g, nodes, picked)
+                    except GraphError:
+                        assert (nodes, frozenset(picked)) not in expected
+                    else:
+                        assert (nodes, frozenset(picked)) in expected
+
+
+def test_enumerate_tubes_matches_direct_filter(bundle_path4):
+    """Cross-check the enumerator and Tube's check against the definition,
+    connectivity decided by a search of this test's own."""
+    assert_tubes_match_filter(bundle_path4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pseudographs())
+def test_enumerate_tubes_matches_direct_filter_on_random_graphs(g):
+    assert_tubes_match_filter(g)
+
+
+@pytest.mark.parametrize(
+    "graph, used",
+    [
+        (Pseudograph([1, 2, 3, 4], [(1, 3), (1, 2, "a"), (1, 2, "b"), (2, 4, "c"), (2, 4, "d")]), 42),
+        (Pseudograph([1, 2, 3, 4], [(1, 2), (3, 4)]), 6),
+        (Pseudograph([1, 2, 3, 4, 5], [(1, 2, "a"), (1, 2, "b"), (2, 3), (4, 5)]), 16),
+    ],
+)
+def test_enumerate_tubes_charges_each_node_subset_and_label_choice(graph, used):
+    """One face per nonempty node subset of each component, connected or
+    not, and one per label choice of a connected one."""
+    budget = FaceBudget()
+    enumerate_tubes(graph, budget)
+    assert budget.used == used
 
 
 def test_compatibility_by_inclusion_and_separation(bundle_tree5):
