@@ -8,6 +8,7 @@ Every subcommand reads a graph file, computes, prints text (or JSON with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -59,7 +60,10 @@ def _common_parser():
     return common
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on the first call and never
+    changed after: every ``main`` call parses with it."""
     common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="tubings",

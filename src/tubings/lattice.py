@@ -187,21 +187,23 @@ def delzant_check(graph, budget=None):
     budget = FaceBudget.ensure(budget)
     system = TubeSystem(graph, budget)
     matrix = normal_generator_matrix(graph)
+    normals = [facet_normal(graph, t, matrix=matrix) for t in system.tubes]
     dim = polytope_dimension(graph)
     failures = []
     sizes = set()
     masks = system.tubing_complex().maximal_face_masks(budget)
     for mask in masks:
-        tubes = [system.tubes[i] for i in _bits(mask)]
-        sizes.add(len(tubes))
-        names = tuple(t.name() for t in tubes)
-        if len(tubes) != dim:
-            failures.append(DelzantFailure(names, f"size {len(tubes)} != {dim}"))
-            continue
-        rows = [list(facet_normal(graph, t, matrix=matrix)) for t in tubes]
-        det = det_bareiss(rows)
-        if abs(det) != 1:
-            failures.append(DelzantFailure(names, f"determinant {det}"))
+        bits = list(_bits(mask))
+        sizes.add(len(bits))
+        if len(bits) != dim:
+            reason = f"size {len(bits)} != {dim}"
+        else:
+            det = det_bareiss([normals[i] for i in bits])
+            if abs(det) == 1:
+                continue
+            reason = f"determinant {det}"
+        names = tuple(system.tubes[i].name() for i in bits)
+        failures.append(DelzantFailure(names, reason))
     rank = gf2_rank(_characteristic_row_masks(system))
     if rank != dim:
         failures.append(DelzantFailure((), f"characteristic rank {rank} != {dim}"))

@@ -313,15 +313,20 @@ def inflation_matches(graph, collection, budget=None, system=None):
     the reduced graph onto the saturated odd subcomplex."""
     _require_subset(graph, collection)
     budget = FaceBudget.ensure(budget)
-    gamma = reduced_graph(graph, collection)
-    gamma_system = TubeSystem(gamma, budget)
-    odd = _odd_tubes(gamma_system, gamma_system.collection_mask(collection))
-    gamma_odd = [gamma_system.tubes[i] for i in _bits(odd)]
-    inflated = [inflate_tube(t, graph, collection) for t in gamma_odd]
-    if len(set(inflated)) != len(inflated):
-        return False
+    gamma_system = TubeSystem(reduced_graph(graph, collection), budget)
     if system is None:
         system = TubeSystem(graph, budget)
+    return _inflation_matches(system, gamma_system, collection)
+
+
+def _inflation_matches(system, gamma_system, collection):
+    """:func:`inflation_matches` on the tube systems of the graph and of
+    the collection's reduced graph."""
+    odd = _odd_tubes(gamma_system, gamma_system.collection_mask(collection))
+    gamma_odd = [gamma_system.tubes[i] for i in _bits(odd)]
+    inflated = [inflate_tube(t, system.graph, collection) for t in gamma_odd]
+    if len(set(inflated)) != len(inflated):
+        return False
     saturated = _saturated_tubes(system, system.collection_mask(collection))
     saturated = {system.tubes[i] for i in _bits(saturated)}
     if set(inflated) != saturated:

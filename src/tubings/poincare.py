@@ -28,13 +28,13 @@ from .graphs import (
 from .parity import (
     _confined_tubes,
     _EvenFamily,
+    _inflation_matches,
     _odd_tubes,
     _saturated_tubes,
     _shares,
     admissible_collections,
     collection_orbits,
     has_admissible,
-    inflation_matches,
     is_admissible,
     odd_tube_complex,
 )
@@ -242,7 +242,7 @@ def cross_check(
         indices = range(total)
     failures = []
     seen_failed = set()
-    reductions = {}  # even-star's reduced graphs, built once per key
+    reductions = {}  # per _reduction_of key: [reduced graph, its TubeSystem or None]
 
     def fail(check, collection, detail):
         if check not in seen_failed:
@@ -281,12 +281,14 @@ def cross_check(
                 bv = betti(_saturated_tubes(system, members))
             if not bv.is_zero():
                 fail("zero", family.collection_at(index), f"odd component share but betti {bv!r}")
-        if "even-star" in chosen:
+        if "even-star" in chosen or "inflation" in chosen:
             c = family.collection_at(index)
             key = _reduction_of(graph, c)
             if key not in reductions:
-                reductions[key] = _reduction(graph, *key)
-            admissible = is_admissible(reductions[key], c)
+                reductions[key] = [_reduction(graph, *key), None]
+            reduced = reductions[key]
+        if "even-star" in chosen:
+            admissible = is_admissible(reduced[0], c)
             if evenstar != admissible:
                 fail("even-star", c, f"component evenness {evenstar} vs admissibility {admissible}")
         if "join" in chosen:
@@ -304,8 +306,9 @@ def cross_check(
                 if prod != mine:
                     fail("join", family.collection_at(index), f"suspended {mine} vs product {prod}")
         if "inflation" in chosen:
-            c = family.collection_at(index)
-            if not inflation_matches(graph, c, budget=budget, system=system):
+            if reduced[1] is None:
+                reduced[1] = TubeSystem(reduced[0], budget)
+            if not _inflation_matches(system, reduced[1], c):
                 fail("inflation", c, "reduced-graph odd complex does not inflate")
 
     poly_reduced = None

@@ -19,7 +19,9 @@ from tubings import (
     parse_graph,
     serialize_graph,
 )
-from tubings.cli import main
+from tubings.cli import build_parser, main
+
+from test_cli_golden import GOLDEN_PATH, run_case
 
 SAMPLE = "node 1\nnode 2\nnode 3\nedge 1 2 a\nedge 1 2 b\nedge 2 3\n"
 
@@ -213,6 +215,22 @@ def test_cli_lessdot(graph_file, capsys):
     assert lines[0] == "reductions: 9"
     assert "nodes 1,2 edges 1-2:a 1-2:b" in lines
     assert "nodes 1,2,3 edges 1-2:a 1-2:b 2-3" in lines
+
+
+def test_cli_calls_in_one_process_share_one_parser(tmp_path, capsys, monkeypatch):
+    """Calls that differ in options, exit codes and usage errors, one after
+    the other in one process, each print what a call on its own prints."""
+    monkeypatch.delenv("TUBINGS_FACE_BUDGET", raising=False)
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert build_parser() is build_parser()
+    for case in ("sample-tubes-json", "sample-tubes",
+                 "sample-complex-budget", "sample-complex"):
+        assert run_case(case, tmp_path) == golden[case], case
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", str(tmp_path / "sample.graph")])
+    assert exc.value.code == 2
+    assert "--collection" in capsys.readouterr().err
+    assert run_case("sample-betti-odd", tmp_path) == golden["sample-betti-odd"]
 
 
 def test_cli_missing_file(tmp_path, capsys):

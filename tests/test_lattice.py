@@ -22,8 +22,9 @@ from tubings import (
     polytope_dimension,
     tube_incidence_matrix,
 )
+import tubings.lattice
 from tubings._intlinalg import det_bareiss
-from tubings.lattice import _characteristic_row_masks
+from tubings.lattice import DelzantFailure, _characteristic_row_masks
 from tubings.parity import _EvenFamily
 
 
@@ -148,6 +149,75 @@ def test_delzant_double_bundle(bundle_path4):
     assert report.tubings_checked == 260
     assert report.tubing_size == 5
     assert report.characteristic_rank == 5
+
+
+def _maximal_tubings(g):
+    """Every maximal tubing of ``g`` as its tubes in tube order."""
+    system = TubeSystem(g)
+    return [
+        [t for i, t in enumerate(system.tubes) if mask >> i & 1]
+        for mask in system.tubing_complex().maximal_face_masks()
+    ]
+
+
+def test_delzant_reports_a_bad_determinant(bundle_path3, monkeypatch):
+    """With det_bareiss giving 2 on one tubing, that tubing, named tube by
+    tube in tube order, is the one failure."""
+    bad = _maximal_tubings(bundle_path3)[5]
+    bad_rows = [list(facet_normal(bundle_path3, t)) for t in bad]
+
+    def det(rows):
+        return 2 if [list(r) for r in rows] == bad_rows else det_bareiss(rows)
+
+    monkeypatch.setattr(tubings.lattice, "det_bareiss", det)
+    report = delzant_check(bundle_path3)
+    assert report.ok is False
+    assert report.tubings_checked == 14
+    assert report.failures == (
+        DelzantFailure(tuple(t.name() for t in bad), "determinant 2"),
+    )
+
+
+def test_delzant_reports_every_tubing_of_the_wrong_size(bundle_path3, monkeypatch):
+    """With the expected dimension one too high, every tubing fails on its
+    size, none reaches a determinant, and the count of tubings stays."""
+    dim = polytope_dimension(bundle_path3)
+    monkeypatch.setattr(tubings.lattice, "polytope_dimension", lambda g: dim + 1)
+    monkeypatch.setattr(tubings.lattice, "det_bareiss", None)
+    report = delzant_check(bundle_path3)
+    assert report.ok is False
+    assert report.tubings_checked == 14
+    assert report.tubing_size == dim
+    assert report.failures == (
+        *(DelzantFailure(tuple(t.name() for t in tubing), f"size {dim} != {dim + 1}")
+          for tubing in _maximal_tubings(bundle_path3)),
+        DelzantFailure((), f"characteristic rank {dim} != {dim + 1}"),
+    )
+
+
+def test_delzant_work_scales_with_tubes(k4_triple_bundle, monkeypatch):
+    """One facet normal per tube, however many tubings hold it, and no tube
+    named when every tubing passes."""
+    normals, names = [], []
+    facet_normal_ = tubings.lattice.facet_normal
+    name = Tube.name
+
+    def spy_normal(graph, tube, designation=None, matrix=None):
+        normals.append(tube)
+        return facet_normal_(graph, tube, designation, matrix)
+
+    def spy_name(tube):
+        names.append(tube)
+        return name(tube)
+
+    monkeypatch.setattr(tubings.lattice, "facet_normal", spy_normal)
+    monkeypatch.setattr(Tube, "name", spy_name)
+    report = delzant_check(k4_triple_bundle)
+    assert report.ok, report.failures
+    assert report.tubings_checked == 360
+    assert normals == list(TubeSystem(k4_triple_bundle).tubes)
+    assert len(normals) == 38
+    assert names == []
 
 
 def test_delzant_other_designation(bundle_path3, bundle_path4):
