@@ -7,7 +7,12 @@ complex the flag complex of comparability.  Full subcomplexes (the parity
 complexes of one tube system, the core left by a strong collapse) share
 their parent's universe and adjacency and differ only in the mask.  Betti
 numbers are rational, after a strong collapse that deletes dominated
-vertices; boundary ranks are over GF(2) with clearing, and exact integer
+vertices.  The core left is the join of the flag complexes on the components
+of the complement of its 1-skeleton (vertices in different components are
+adjacent), and its suspended Betti polynomial is the product of theirs
+(Kunneth over the rationals), so each factor is ranked on its own.  In a
+factor the edge map's rank is its vertex count less its component count;
+the maps above are ranked over GF(2) with clearing, and exact integer
 elimination ranks again only the maps where torsion could hide (nonzero
 mod-2 Betti numbers on both sides).
 
@@ -20,11 +25,13 @@ Face enumeration is metered by a :class:`FaceBudget`; exceeding it raises
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 from ._intlinalg import gf2_basis, rank_int
 from .errors import FaceBudgetConfigError, FaceBudgetExceededError, VertexClashError
+from .graphs import _split
 
 DEFAULT_FACE_BUDGET = 1_000_000
 _BUDGET_ENV = "TUBINGS_FACE_BUDGET"
@@ -319,15 +326,33 @@ class SimplicialComplex:
         return alive
 
     def betti_reduced(self, budget=None):
-        """Reduced Betti numbers over the rationals, from dimension -1."""
+        """Reduced Betti numbers over the rationals, from dimension -1: the
+        product of the core's join factors' suspended Betti polynomials.
+        The budget is charged every face of a core of two or more vertices."""
         budget = FaceBudget.ensure(budget)
         alive = self._flag_core_mask()
         if alive.bit_count() == 1:
             return BettiVector.zeros()
-        # renumbered to bits 0..k-1, the core's face masks are one-digit ints
-        core = [*_bits(alive)]
-        adj = [sum(1 << k for k, u in enumerate(core) if self._adj[v] >> u & 1) for v in core]
-        return _betti_from_levels(_clique_levels(adj, (1 << len(adj)) - 1, budget))
+        factors = []
+        for part in _join_factors(self._adj, alive):
+            # renumbered to bits 0..k-1, the factor's face masks are one-digit ints
+            at = {v: k for k, v in enumerate(_bits(part))}
+            adj = [sum(1 << at[u] for u in _bits(self._adj[v] & part)) for v in at]
+            factors.append((adj, _clique_levels(adj, (1 << len(adj)) - 1, budget)))
+        # a face of the join is a face, possibly empty, of each factor
+        sizes = [sum(map(len, levels)) for _, levels in factors]
+        budget.charge(math.prod(f + 1 for f in sizes) - 1 - sum(sizes))
+        betti = [1]
+        for adj, levels in factors:
+            factor = _betti_from_levels(levels, len(_split(adj, (1 << len(adj)) - 1)))
+            if factor.is_zero():
+                return factor
+            product = [0] * (len(betti) + len(factor) - 1)
+            for i, x in enumerate(betti):
+                for j, y in enumerate(factor):
+                    product[i + j] += x * y
+            betti = product
+        return BettiVector(betti)
 
     def euler_reduced(self, budget=None):
         """Alternating face-count sum minus one (no collapse, direct count)."""
@@ -427,25 +452,36 @@ class SimplicialComplex:
         return ShellingReport("no", None, expansions)
 
 
-def _betti_from_levels(levels):
-    """Reduced Betti numbers over the rationals from per-dimension face-mask
-    lists, by GF(2) ranks from the top dimension down.
+def _join_factors(adj, alive):
+    """The components of the complement of the 1-skeleton on the vertex
+    mask ``alive``: the flag complex on ``alive`` is the join of the flag
+    complexes on them."""
+    return _split({i: alive & ~adj[i] for i in _bits(alive)}, alive)
 
-    A face owning a pivot (lowest bit) of the basis of the map above it is
-    left out of its own map, which keeps the rank (clearing).  A GF(2) rank
-    falls short of the rational one only through 2-torsion, which raises the
-    Betti numbers on both sides of that map (universal coefficients), so
-    only a map with both nonzero is ranked again with rank_int.  A map too
-    large for dense rows, and every map below it, is ranked exactly at once.
+
+def _betti_from_levels(levels, components):
+    """Reduced Betti numbers over the rationals of a flag complex from its
+    per-dimension face-mask lists and the number of components of its
+    1-skeleton.
+
+    The edge map's rank is the vertex count less the component count over
+    any field, so its rows are never built.  The maps above are ranked over
+    GF(2) from the top dimension down.  A face owning a pivot (lowest bit)
+    of the basis of the map above it is left out of its own map, which keeps
+    the rank (clearing).  A GF(2) rank falls short of the rational one only
+    through 2-torsion, which raises the Betti numbers on both sides of that
+    map (universal coefficients), so only a map with both nonzero is ranked
+    again with rank_int.  A map too large for dense rows, and every map
+    below it, is ranked exactly at once.
     """
     fcounts = [len(level) for level in levels]
     top = len(levels)
     ranks = [0] * (top + 1)  # ranks[d] = rank of boundary from d-faces
-    if fcounts and fcounts[0]:
-        ranks[0] = 1
+    if top:
+        ranks[0], ranks[1] = 1, fcounts[0] - components
     exact = set()
     cleared = set()
-    for d in range(top - 1, 0, -1):
+    for d in range(top - 1, 1, -1):
         lower = {m: i for i, m in enumerate(levels[d - 1])}
         if exact or (fcounts[d] - len(cleared)) * fcounts[d - 1] > _GF2_MAX_CELLS:
             ranks[d] = rank_int(_signed_rows(levels[d], lower))
@@ -453,7 +489,7 @@ def _betti_from_levels(levels):
         else:
             ranks[d], cleared = _gf2_rank_and_pivots(levels[d], lower, cleared, levels[d - 1])
     mod2 = _betti_from_ranks(fcounts, ranks)
-    for d in range(1, top):
+    for d in range(2, top):
         if d not in exact and mod2[d] and mod2[d + 1]:
             lower = {m: i for i, m in enumerate(levels[d - 1])}
             ranks[d] = rank_int(_signed_rows(levels[d], lower))

@@ -151,7 +151,7 @@ class Pseudograph:
         )
         self._components = tuple(
             frozenset(n for i, n in enumerate(node_list) if comp >> i & 1)
-            for comp in _split(self, (1 << len(node_list)) - 1)
+            for comp in _split(self._neighbour_masks, (1 << len(node_list)) - 1)
         )
         self._poincare = None
 
@@ -451,11 +451,12 @@ def _reduction_keys(graph):
                     yield nodes, collapsed
 
 
-def _split(graph, mask):
-    """The components of the subgraph induced on the node bitmask ``mask``
-    (bit i is ``graph.nodes[i]``), as node bitmasks, least node first.
-    Every connectivity question of the package comes here."""
-    nbr, comps = graph._neighbour_masks, []
+def _split(nbr, mask):
+    """The components of the subgraph induced on the bitmask ``mask`` of the
+    graph whose bit i has neighbour mask ``nbr[i]`` (a graph's
+    ``_neighbour_masks``, or a complex's adjacency), as bitmasks, least bit
+    first.  Every connectivity question of the package comes here."""
+    comps = []
     while mask:
         comp = grow = mask & -mask
         while grow:
@@ -478,7 +479,8 @@ def _admits(graph, nodes, collapsed=()):
         if b.u in nodes and b.v in nodes and b not in collapsed:
             ends |= 1 << index[b.u] | 1 << index[b.v]
     mask = sum(1 << index[n] for n in nodes)
-    return all(comp & ends or not comp.bit_count() & 1 for comp in _split(graph, mask))
+    comps = _split(graph._neighbour_masks, mask)
+    return all(comp & ends or not comp.bit_count() & 1 for comp in comps)
 
 
 def _reduction_key(graph, members):

@@ -197,7 +197,7 @@ def _shares(graph, nodes, kept, members):
     components of its touched subgraph, given as its :func:`_reduction_key`
     ``nodes, kept``: one ground bitmask per component."""
     shares = []
-    for comp in _split(graph, nodes):
+    for comp in _split(graph._neighbour_masks, nodes):
         for ends, labels in kept:
             if ends & comp:
                 comp |= labels
@@ -275,12 +275,14 @@ def collection_orbits(graph, admissible=False):
             parent[key] = key = parent[parent[key]]
         return key
 
-    slot = {(b.u, b.v): i for i, b in enumerate(bundles)}
-    for g in automorphism_generators(graph):
-        to = [slot[tuple(sorted((g[b.u], g[b.v])))] for b in bundles]
-        for nodes, k in list(parent):
-            image = tuple(k[to.index(i)] for i in range(len(k)))
-            parent[find((frozenset(map(g.get, nodes)), image))] = find((nodes, k))
+    # with fewer than two classes there is nothing to merge, so no search
+    if len(parent) > 1:
+        slot = {(b.u, b.v): i for i, b in enumerate(bundles)}
+        for g in automorphism_generators(graph):
+            to = [slot[tuple(sorted((g[b.u], g[b.v])))] for b in bundles]
+            for nodes, k in list(parent):
+                image = tuple(k[to.index(i)] for i in range(len(k)))
+                parent[find((frozenset(map(g.get, nodes)), image))] = find((nodes, k))
     weights = {}
     for nodes, k in parent:
         root = find((nodes, k))

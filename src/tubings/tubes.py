@@ -43,7 +43,7 @@ class Tube:
         if unknown:
             raise GraphError(f"tube uses unknown nodes {sorted(unknown)}")
         index = host.ground_index()
-        if len(_split(host, sum(1 << index[n] for n in self._nodes))) != 1:
+        if len(_split(host._neighbour_masks, sum(1 << index[n] for n in self._nodes))) != 1:
             raise GraphError(f"tube nodes {sorted(self._nodes)} are not connected")
         internal = set()
         for b in host.bundles:
@@ -149,7 +149,7 @@ def enumerate_tubes(graph, budget=None):
         while mask:
             budget.charge()
             sub, mask = mask, (mask - 1) & comp_mask
-            if len(_split(graph, sub)) != 1:
+            if len(_split(graph._neighbour_masks, sub)) != 1:
                 continue
             nodes = frozenset(graph.nodes[i] for i in _bits(sub))
             internal = [

@@ -32,6 +32,7 @@ from tubings.graphs import (
     automorphism_generators,
     isomorphism_classes,
 )
+from tubings import parity
 from tubings.parity import collection_orbits, has_admissible
 
 LABELS = [f"{a}{b}" for a in "pqrstuvwxyz" for b in "abcd"]
@@ -255,6 +256,42 @@ def test_orbit_counts(graph, collections, orbits):
     found = collection_orbits(graph)
     assert even_collection_count(graph) == sum(w for _, w in found) == collections
     assert len(found) == orbits
+
+
+def spy_on_automorphism_search(monkeypatch):
+    """The graphs `parity.automorphism_generators` is asked about, in order."""
+    searched = []
+
+    def spy(graph):
+        searched.append(graph)
+        return automorphism_generators(graph)
+
+    monkeypatch.setattr(parity, "automorphism_generators", spy)
+    return searched
+
+
+@pytest.mark.parametrize("admissible", [False, True])
+@pytest.mark.parametrize("graph", [path(6), complete(6), BUNDLE_PATH3, K6_BUNDLE, SWAPPED_BUNDLES],
+                         ids=["P6", "K6", "bundle 3-path", "K6 with a bundle", "swapped bundles"])
+def test_orbits_search_automorphisms_only_with_classes_to_merge(monkeypatch, graph, admissible):
+    searched = spy_on_automorphism_search(monkeypatch)
+    orbits = collection_orbits(graph, admissible)
+    collections = admissible_collections(graph) if admissible else list(even_collections(graph))
+    sizes, least_image = brute_orbit_sizes(graph, collections)
+    assert {least_image(c): w for c, w in orbits} == sizes
+    # a class is a node set and an even count per bundle
+    classes = {(c.nodes, tuple(len(c.labels & set(b.labels)) for b in graph.bundles))
+               for c in collections}
+    assert searched == ([graph] if len(classes) > 1 else [])
+
+
+@pytest.mark.parametrize("graph", [path(6), complete(6)], ids=["P6", "K6"])
+def test_a_polynomial_of_one_admissible_collection_searches_nothing(monkeypatch, graph):
+    [only] = admissible_collections(graph)
+    assert only.nodes == frozenset(graph.nodes)
+    searched = spy_on_automorphism_search(monkeypatch)
+    assert a_polynomial(graph) == from_betti_tilde(odd_tube_complex(graph, only).betti_reduced())
+    assert searched == []
 
 
 @pytest.mark.parametrize("graph, reductions, classes", [
