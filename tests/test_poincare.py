@@ -134,17 +134,17 @@ def test_cross_check_sampled(bundle_tree5):
     assert report.poincare_brute is None
 
 
-def _wrong_on_one_call(monkeypatch, name, wrong):
-    """Patch the verify-loop helper ``poincare.<name>`` so that its third
-    call returns ``wrong(result)``; the collection that call was about, its
-    last argument, is kept in the returned list."""
+def _wrong_on_one_call(monkeypatch, name, wrong, call=3):
+    """Patch the verify-loop helper ``poincare.<name>`` so that its
+    ``call``-th call returns ``wrong(result)``; the collection that call was
+    about, its last argument, is kept in the returned list."""
     real = getattr(poincare, name)
     calls, hit = [], []
 
     def patched(*args):
         result = real(*args)
         calls.append(args[-1])
-        if len(calls) == 3:
+        if len(calls) == call:
             hit.append(args[-1])
             return wrong(result)
         return result
@@ -182,6 +182,59 @@ def test_cross_check_names_the_collection_a_check_fails_on(
     if check == "even-star" and sample is None:
         # both sides run once per collection, in index order
         assert failure.collection == even_collection_at(bundle_tree5, 2, d)
+
+
+_TREE5_POINCARE = "1 + 8t + 55t^2 + 180t^3 + 132t^4"
+
+
+@pytest.mark.parametrize("check, name, call, wrong, collection, detail", [
+    # the empty complex in the middle of the chain odd / confined / saturated
+    ("chain", "_confined_tubes", 3, lambda tubes: 0, {2, 5},
+     "betti BettiVector([]) / BettiVector([1]) / BettiVector([])"),
+    # a share left out, and a share counted twice
+    ("join", "_shares", 3, lambda shares: shares[1:], {2, 5},
+     "vertex sets differ between whole and parts"),
+    ("join", "_shares", 4, lambda shares: shares + shares[:1], {1, 2},
+     "suspended t vs product t^2"),
+    ("inflation", "_inflation_matches", 3, lambda ok: not ok, {2, 5},
+     "reduced-graph odd complex does not inflate"),
+    ("routes", "poincare_reduced", 1, lambda p: p + IntPolynomial.one(), None,
+     f"reduced 2{_TREE5_POINCARE[1:]} vs brute {_TREE5_POINCARE}"),
+    ("recovery", "reduced_graph", 3, lambda h: None, {1, 2},
+     "admissible collection does not recover graph"),
+])
+def test_cross_check_reports_each_check_failure(
+    monkeypatch, bundle_tree5, check, name, call, wrong, collection, detail
+):
+    hit = _wrong_on_one_call(monkeypatch, name, wrong, call)
+    report = cross_check(bundle_tree5, checks=(check,))
+    if collection is not None:
+        collection = Collection(frozenset(collection), frozenset())
+        assert hit[0] in (collection, TubeSystem(bundle_tree5).collection_mask(collection))
+    assert report.failures == (poincare.CheckFailure(check, collection, detail),)
+    assert not report.ok and not report.sampled
+    assert report.collections_checked == 128
+    if check == "routes":
+        assert str(report.poincare_brute) == _TREE5_POINCARE
+        assert str(report.poincare_reduced) == "2" + _TREE5_POINCARE[1:]
+
+
+def test_cross_check_reports_failures_in_the_order_found(monkeypatch, bundle_tree5):
+    """The loop's checks fail on the collections they meet first, then the
+    routes, then recovery; each check is named once."""
+    _wrong_on_one_call(monkeypatch, "_confined_tubes", lambda tubes: 0, 3)
+    _wrong_on_one_call(monkeypatch, "_inflation_matches", lambda ok: not ok, 1)
+    # a second inflation failure, which is not reported
+    _wrong_on_one_call(monkeypatch, "_inflation_matches", lambda ok: not ok, 5)
+    _wrong_on_one_call(monkeypatch, "poincare_reduced", lambda p: p * 2, 1)
+    _wrong_on_one_call(monkeypatch, "reduced_graph", lambda h: None, 3)
+    report = cross_check(bundle_tree5)
+    assert [(f.check, f.collection) for f in report.failures] == [
+        ("inflation", Collection(frozenset(), frozenset())),
+        ("chain", even_collection_at(bundle_tree5, 2)),
+        ("routes", None),
+        ("recovery", Collection(frozenset({1, 2}), frozenset())),
+    ]
 
 
 def test_every_complex_of_a_cross_check_is_built_once_and_ranked(monkeypatch, bundle_path4):
