@@ -310,15 +310,13 @@ def inflate_tube(tube, graph, collection):
     return Tube(graph, tube.nodes, labels)
 
 
-def inflation_matches(graph, collection, budget=None, system=None):
+def inflation_matches(graph, collection, budget=None):
     """Check that inflation is an isomorphism from the odd subcomplex of
     the reduced graph onto the saturated odd subcomplex."""
     _require_subset(graph, collection)
     budget = FaceBudget.ensure(budget)
     gamma_system = TubeSystem(reduced_graph(graph, collection), budget)
-    if system is None:
-        system = TubeSystem(graph, budget)
-    return _inflation_matches(system, gamma_system, collection)
+    return _inflation_matches(TubeSystem(graph, budget), gamma_system, collection)
 
 
 def _inflation_matches(system, gamma_system, collection):

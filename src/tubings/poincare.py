@@ -13,8 +13,11 @@ and reports any counterexample found.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import cache, reduce
+from operator import or_
 
 from .complexes import FaceBudget
 from .graphs import (
@@ -223,6 +226,7 @@ def cross_check(
     ``failures`` hold the first offending collection per failed check.
     ``designation`` orders the even collections, so it picks the sample
     and which offending collection comes first; no polynomial depends on it.
+    A call ranks each tube mask it asks for once, whichever checks ask.
     """
     chosen = set(ALL_CHECKS if checks is None else checks)
     bad = chosen - set(ALL_CHECKS)
@@ -235,102 +239,87 @@ def cross_check(
     family = _EvenFamily(graph, designation)
     total = family.count()
     sampled = max_collections is not None and max_collections < total
+    indices = range(total)
     if sampled:
-        rng = random.Random(seed)
-        indices = sorted(rng.sample(range(total), max_collections))
-    else:
-        indices = range(total)
-    failures = []
-    seen_failed = set()
-    reductions = {}  # per _reduction_of key: [reduced graph, its TubeSystem or None]
+        indices = sorted(random.Random(seed).sample(indices, max_collections))
 
-    def fail(check, collection, detail):
-        if check not in seen_failed:
-            seen_failed.add(check)
-            failures.append(CheckFailure(check, collection, detail))
+    # memos for this call only; each looks its helper up when it runs
+    betti = cache(lambda tubes: system.complex_on(tubes).betti_reduced(budget))
+    saturated = cache(lambda members: _saturated_tubes(system, members))
+    shares = cache(lambda members: _shares(graph, *_reduction_key(graph, members), members))
+    collection = cache(family.collection_at)
+    reduced = cache(lambda key: _reduction(graph, *key))
+    reduced_system = cache(lambda key: TubeSystem(reduced(key), budget))
 
-    def betti(tubes):
-        return system.complex_on(tubes).betti_reduced(budget)
+    def evenstar(members):
+        return not any(s.bit_count() & 1 for s in shares(members))
 
-    brute_total = IntPolynomial.zero()
-    count = 0
+    def chain(index, members):
+        tubes = _odd_tubes(system, members), _confined_tubes(system, members), saturated(members)
+        odd, confined, sat = map(betti, tubes)
+        if not odd == confined == sat:
+            return f"betti {odd!r} / {confined!r} / {sat!r}"
+
+    def zero(index, members):
+        if not evenstar(members) and not (bv := betti(saturated(members))).is_zero():
+            return f"odd component share but betti {bv!r}"
+
+    def even_star(index, members):
+        c = collection(index)
+        admissible = is_admissible(reduced(_reduction_of(graph, c)), c)
+        if evenstar(members) != admissible:
+            return f"component evenness {evenstar(members)} vs admissibility {admissible}"
+
+    def join(index, members):
+        whole = saturated(members)
+        pieces = [saturated(s) for s in shares(members)]
+        if whole != reduce(or_, pieces, 0):
+            return "vertex sets differ between whole and parts"
+        mine, *parts = (from_betti_suspended(betti(t)) for t in (whole, *pieces))
+        prod = math.prod(parts, start=IntPolynomial.one())
+        if prod != mine:
+            return f"suspended {mine} vs product {prod}"
+
+    def inflation(index, members):
+        c = collection(index)
+        if not _inflation_matches(system, reduced_system(_reduction_of(graph, c)), c):
+            return "reduced-graph odd complex does not inflate"
+
+    # the checks run on each collection, in the order a collection meets them
+    per_collection = {
+        "chain": chain, "zero": zero, "even-star": even_star, "join": join, "inflation": inflation
+    }
+    run = [(name, check) for name, check in per_collection.items() if name in chosen]
+    first = {}  # check name: its first failure, in the order found
     for index in indices:
         members = family.mask_at(index)
-        count += 1
-        bv_odd = betti(_odd_tubes(system, members))
-        if not sampled and "routes" in chosen:
-            brute_total = brute_total + from_betti_suspended(bv_odd)
-        saturated = bv_saturated = None
-        if chosen & {"chain", "join"}:
-            saturated = _saturated_tubes(system, members)
-            bv_saturated = betti(saturated)
-        if "chain" in chosen:
-            bv_confined = betti(_confined_tubes(system, members))
-            if not (bv_odd == bv_confined == bv_saturated):
-                fail(
-                    "chain",
-                    family.collection_at(index),
-                    f"betti {bv_odd!r} / {bv_confined!r} / {bv_saturated!r}",
-                )
-        nodes, kept = _reduction_key(graph, members)
-        shares = _shares(graph, nodes, kept, members)
-        evenstar = not any(s.bit_count() & 1 for s in shares)
-        if "zero" in chosen and not evenstar:
-            bv = bv_saturated
-            if bv is None:
-                bv = betti(_saturated_tubes(system, members))
-            if not bv.is_zero():
-                fail("zero", family.collection_at(index), f"odd component share but betti {bv!r}")
-        if "even-star" in chosen or "inflation" in chosen:
-            c = family.collection_at(index)
-            key = _reduction_of(graph, c)
-            if key not in reductions:
-                reductions[key] = [_reduction(graph, *key), None]
-            reduced = reductions[key]
-        if "even-star" in chosen:
-            admissible = is_admissible(reduced[0], c)
-            if evenstar != admissible:
-                fail("even-star", c, f"component evenness {evenstar} vs admissibility {admissible}")
-        if "join" in chosen:
-            pieces = [_saturated_tubes(system, s) for s in shares]
-            union = 0
-            for p in pieces:
-                union |= p
-            if saturated != union:
-                fail("join", family.collection_at(index), "vertex sets differ between whole and parts")
-            else:
-                prod = IntPolynomial.one()
-                for p in pieces:
-                    prod = prod * from_betti_suspended(betti(p))
-                mine = from_betti_suspended(bv_saturated)
-                if prod != mine:
-                    fail("join", family.collection_at(index), f"suspended {mine} vs product {prod}")
-        if "inflation" in chosen:
-            if reduced[1] is None:
-                reduced[1] = TubeSystem(reduced[0], budget)
-            if not _inflation_matches(system, reduced[1], c):
-                fail("inflation", c, "reduced-graph odd complex does not inflate")
+        for name, check in run:
+            detail = check(index, members)
+            if detail and name not in first:
+                first[name] = CheckFailure(name, collection(index), detail)
 
-    poly_reduced = None
-    poly_brute = None
+    poly_reduced = poly_brute = None
     if not sampled and "routes" in chosen:
-        poly_brute = brute_total
+        odd = (betti(_odd_tubes(system, family.mask_at(i))) for i in indices)
+        poly_brute = sum(map(from_betti_suspended, odd), IntPolynomial.zero())
         poly_reduced = poincare_reduced(graph, budget)
         if poly_reduced != poly_brute:
-            fail("routes", None, f"reduced {poly_reduced} vs brute {poly_brute}")
+            detail = f"reduced {poly_reduced} vs brute {poly_brute}"
+            first["routes"] = CheckFailure("routes", None, detail)
 
     if "recovery" in chosen:
+        detail = "admissible collection does not recover graph"
         for h in enumerate_reductions(graph):
             for c in admissible_collections(h, None):
                 if reduced_graph(graph, c) != h:
-                    fail("recovery", c, "admissible collection does not recover graph")
+                    first.setdefault("recovery", CheckFailure("recovery", c, detail))
                     break
 
     return CrossCheckReport(
-        ok=not failures,
+        ok=not first,
         sampled=sampled,
-        collections_checked=count,
+        collections_checked=len(indices),
         poincare_reduced=poly_reduced,
         poincare_brute=poly_brute,
-        failures=tuple(failures),
+        failures=tuple(first.values()),
     )

@@ -64,13 +64,10 @@ class FinitePoset:
 
 def order_complex(poset):
     """Flag complex of comparability; faces are the chains."""
-    n = len(poset)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if poset.comparable(i, j):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = [poset.strictly_below(i) for i in range(len(poset))]
+    for i in range(len(poset)):
+        for j in _bits(poset.strictly_below(i)):
+            adj[j] |= 1 << i
     return SimplicialComplex(poset.elements, adj)
 
 

@@ -257,6 +257,51 @@ def test_every_complex_of_a_cross_check_is_built_once_and_ranked(monkeypatch, bu
     assert counts["complex_on"] == counts["betti_reduced"] > 0
 
 
+def _count_ranks(monkeypatch):
+    """Count ``SimplicialComplex.betti_reduced`` calls in the returned list."""
+    ranked = []
+    real = SimplicialComplex.betti_reduced
+
+    def counted(*args, **kwargs):
+        ranked.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "betti_reduced", counted)
+    return ranked
+
+
+def test_a_full_cross_check_ranks_each_tube_mask_it_asks_for_once(monkeypatch, bundle_tree5):
+    """Odd, confined and saturated masks, of collections and of their
+    shares, often coincide; each distinct one is ranked once."""
+    poincare_reduced(bundle_tree5)  # kept on the graph, so the call below ranks none of it
+    asked = set()
+    for name in ("_odd_tubes", "_confined_tubes", "_saturated_tubes"):
+
+        def recorded(*args, real=getattr(poincare, name)):
+            tubes = real(*args)
+            asked.add(tubes)
+            return tubes
+
+        monkeypatch.setattr(poincare, name, recorded)
+    ranked = _count_ranks(monkeypatch)
+    assert cross_check(bundle_tree5).ok
+    assert len(ranked) == len(asked) > 0
+
+
+@pytest.mark.parametrize("checks, calls", [
+    # neither reads a Betti vector
+    (("even-star",), 0),
+    (("recovery",), 0),
+    # criterion 7's checks: 128 odd complexes, 30 saturated ones for the
+    # collections with an odd share, and 37 for the reduced route
+    (("routes", "zero", "even-star"), 195),
+])
+def test_cross_check_ranks_only_what_its_checks_read(monkeypatch, bundle_tree5, checks, calls):
+    ranked = _count_ranks(monkeypatch)
+    assert cross_check(bundle_tree5, checks=checks).ok
+    assert len(ranked) == calls
+
+
 def test_cross_check_rejects_unknown_names(bundle_path3):
     with pytest.raises(ValueError):
         cross_check(bundle_path3, checks=("routes", "bogus"))
