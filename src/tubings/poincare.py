@@ -285,7 +285,7 @@ def cross_check(
         if not _inflation_matches(system, reduced_system(_reduction_of(graph, c)), c):
             return "reduced-graph odd complex does not inflate"
 
-    # the checks run on each collection, in the order a collection meets them
+    # run on each collection in this order, which orders the failures found on one collection
     per_collection = {
         "chain": chain, "zero": zero, "even-star": even_star, "join": join, "inflation": inflation
     }
