@@ -469,18 +469,25 @@ def _split(nbr, mask):
     return comps
 
 
-def _admits(graph, nodes, collapsed=()):
-    """Whether the reduction (nodes, collapsed) has an admissible
-    collection: every component holds an end of a bundle left uncollapsed,
-    or an even number of nodes."""
-    index = graph._ground_index
-    ends = 0
-    for b in graph.bundles:
-        if b.u in nodes and b.v in nodes and b not in collapsed:
-            ends |= 1 << index[b.u] | 1 << index[b.v]
-    mask = sum(1 << index[n] for n in nodes)
-    comps = _split(graph._neighbour_masks, mask)
-    return all(comp & ends or not comp.bit_count() & 1 for comp in comps)
+def _connected_sets(nbr, mask):
+    """Every connected node set inside the bitmask ``mask``, as a bitmask,
+    each once (nbr as for :func:`_split`).  A set grows from its least
+    node v by ESU (Wernicke, 2006): it takes a node w of its extension set
+    and extends what is left of that set by w's nodes above v that neither
+    lie in the set nor touch it."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        near = low | nbr[low.bit_length() - 1]
+        stack = [(low, near & mask, near)]
+        while stack:
+            sub, ext, near = stack.pop()
+            yield sub
+            while ext:
+                w = ext & -ext
+                ext ^= w
+                new = nbr[w.bit_length() - 1] & mask & ~near
+                stack.append((sub | w, ext | new, near | new))
 
 
 def _reduction_key(graph, members):
@@ -504,12 +511,25 @@ def enumerate_reductions(graph):
     return tuple(_reduction(graph, *key) for key in _reduction_keys(graph))
 
 
-def admissible_reduction_classes(graph):
-    """:func:`isomorphism_classes` of the reductions that have an admissible
-    collection, a graph built only for the first member of each class."""
-    keys = (key for key in _reduction_keys(graph) if _admits(graph, *key))
-    classes = _classes((key, _multiplicities(graph, *key)) for key in keys)
-    return [(_reduction(graph, *key), count) for key, count in classes]
+def connected_reduction_classes(graph):
+    """The reductions on a connected node set that have an admissible
+    collection (the set has an even node count or keeps a bundle
+    uncollapsed), up to isomorphism: per class, its (node mask, nodes,
+    collapsed) keys.  A graph is built for none of them."""
+    nodes, bundles = graph._nodes, graph._bundles
+    ends = [e for e, _ in graph._bundle_masks]
+    items = []
+    for sub in _connected_sets(graph._neighbour_masks, (1 << len(nodes)) - 1):
+        inside = [b for b, e in zip(bundles, ends) if sub & e == e]
+        # an odd set must keep a bundle, so it collapses fewer than all
+        choices = range(len(inside) + 1 - (sub.bit_count() & 1))
+        if not choices:
+            continue
+        members = tuple(n for i, n in enumerate(nodes) if sub >> i & 1)
+        for k in choices:
+            for collapsed in itertools.combinations(inside, k):
+                items.append(((sub, members, collapsed), _multiplicities(graph, members, collapsed)))
+    return _classes(items)
 
 
 # -- symmetry ---------------------------------------------------------------
@@ -579,8 +599,8 @@ def _match(rows, colours, n):
 
 
 def _classes(items):
-    """(item, multiplicity rows) pairs up to isomorphism of the rows, as
-    (first item, count) pairs.  Two meet only when their nodes' sorted
+    """(item, multiplicity rows) pairs up to isomorphism of the rows, as one
+    list of items per class.  Two meet only when their nodes' sorted
     multiplicities agree (one round of colour refinement) and the identity
     map (equal rows) or a node map, checked on every pair, takes one onto
     the other."""
@@ -589,18 +609,19 @@ def _classes(items):
         bucket = buckets.setdefault(tuple(sorted(tuple(sorted(r.values())) for r in rows)), [])
         n = len(rows)
         for entry in bucket:
-            if entry[2] == rows or _match(entry[2] + _shifted(rows, n), [0] * 2 * n, n) is not None:
-                entry[1] += 1
+            if entry[1] == rows or _match(entry[1] + _shifted(rows, n), [0] * 2 * n, n) is not None:
+                entry[0].append(item)
                 break
         else:
-            bucket.append([item, 1, rows])
-    return [(item, count) for bucket in buckets.values() for item, count, _ in bucket]
+            bucket.append(([item], rows))
+    return [members for bucket in buckets.values() for members, _ in bucket]
 
 
 def isomorphism_classes(graphs):
     """The graphs up to isomorphism, as (representative, count) pairs, each
     class represented by its first graph."""
-    return _classes((g, _multiplicities(g, g.nodes)) for g in graphs)
+    classes = _classes((g, _multiplicities(g, g.nodes)) for g in graphs)
+    return [(members[0], len(members)) for members in classes]
 
 
 def automorphism_generators(graph):

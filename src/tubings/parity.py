@@ -28,7 +28,6 @@ from .errors import HostMismatchError, NotEvenError
 from .graphs import (
     Collection,
     Designation,
-    _admits,
     _reduction_key,
     _split,
     automorphism_generators,
@@ -248,7 +247,10 @@ def admissible_collections(graph, designation=None):
 def has_admissible(graph):
     """Whether the graph has an admissible collection: every component holds
     a bundle end or an even number of nodes."""
-    return _admits(graph, graph.nodes)
+    return all(
+        len(comp) % 2 == 0 or any(b.u in comp for b in graph.bundles)
+        for comp in graph.component_nodesets()
+    )
 
 
 def collection_orbits(graph, admissible=False):

@@ -5,7 +5,8 @@ reduced Betti polynomial of the odd tube subcomplex for C.  The structural
 route assigns each graph H an *a-polynomial* (the sum over its admissible
 collections of the plain reduced Betti polynomials) and recovers the
 Poincaré polynomial of G as ``1 + t * sum(a_H)`` over all reductions H of
-G.  Both routes add one term per symmetry class, times its size.
+G, ranking only the connected ones (Künneth gives the rest).  Both routes
+add one term per symmetry class, times its size.
 ``cross_check`` exercises both routes plus the identities connecting them,
 with a plain sum over every collection, each taken as its ground bitmask,
 and reports any counterexample found.
@@ -24,7 +25,7 @@ from .graphs import (
     _reduction,
     _reduction_key,
     _reduction_of,
-    admissible_reduction_classes,
+    connected_reduction_classes,
     enumerate_reductions,
     reduced_graph,
 )
@@ -163,16 +164,48 @@ def a_polynomial(graph, budget=None):
 
 
 def poincare_reduced(graph, budget=None):
-    """Poincaré polynomial assembled from a-polynomials of all reductions,
-    one per isomorphism class of those with an admissible collection, times
-    its size.  The result is kept on the graph, which is immutable, so a
-    second call returns it and charges no faces to its budget."""
+    """Poincaré polynomial from the a-polynomials of the reductions on a
+    connected node set C, one per class, summed over C's collapse choices
+    into A(C): P(t) sums, over node sets S, the product of t A(C) over S's
+    components (Künneth for joins), 1 for S empty.  The result is kept on
+    the immutable graph, so a second call returns it and charges nothing."""
     if graph._poincare is None:
         budget = FaceBudget.ensure(budget)
-        total = IntPolynomial.zero()
-        for h, count in admissible_reduction_classes(graph):
-            total = total + a_polynomial(h, budget) * count
-        graph._poincare = IntPolynomial.one() + total.shift(1)
+        nbr = graph._neighbour_masks
+        t_a = {}  # connected node mask C: t A(C)
+        for members in connected_reduction_classes(graph):
+            _, nodes, collapsed = members[0]
+            a = a_polynomial(_reduction(graph, nodes, collapsed), budget).shift(1)
+            if not a.is_zero():
+                for sub, _, _ in members:
+                    t_a[sub] = t_a[sub] + a if sub in t_a else a
+        by_least = {}  # least node bit: (C, C and its neighbours, t A(C))
+        for sub, a in t_a.items():
+            near, rest = sub, sub
+            while rest:
+                low = rest & -rest
+                near |= nbr[low.bit_length() - 1]
+                rest ^= low
+            by_least.setdefault(sub & -sub, []).append((sub, near, a))
+
+        @cache
+        def total(free):
+            # S inside free leaves out free's least node v, or v lies in a
+            # component C of S and the rest of S avoids C and its neighbours
+            if not free:
+                return IntPolynomial.one()
+            v = free & -free
+            terms = {}  # (t A(C), what C leaves free): how many C give it
+            for sub, near, a in by_least.get(v, ()):
+                if not sub & ~free:
+                    key = a, free & ~near
+                    terms[key] = terms.get(key, 0) + 1
+            out = total(free ^ v)
+            for (a, rest), count in terms.items():
+                out = out + a * total(rest) * count
+            return out
+
+        graph._poincare = total((1 << len(nbr)) - 1)
     return graph._poincare
 
 
@@ -235,7 +268,8 @@ def cross_check(
     if max_collections is not None and max_collections < 1:
         raise ValueError(f"max_collections must be at least 1, got {max_collections}")
     budget = FaceBudget.ensure(budget)
-    system = TubeSystem(graph, budget)
+    # even-star and recovery read no tube
+    system = TubeSystem(graph, budget) if chosen - {"even-star", "recovery"} else None
     family = _EvenFamily(graph, designation)
     total = family.count()
     sampled = max_collections is not None and max_collections < total

@@ -18,7 +18,7 @@ import itertools
 
 from .complexes import FaceBudget, SimplicialComplex, _bits
 from .errors import GraphError, HostMismatchError
-from .graphs import _split
+from .graphs import _connected_sets, _split
 
 
 class Tube:
@@ -140,41 +140,35 @@ def enumerate_tubes(graph, budget=None):
     """
     budget = FaceBudget.ensure(budget)
     out = []
-    connected = graph.is_connected()
-    index = graph.ground_index()
+    # each nonempty node subset of a component is charged, connected or not
     for comp in graph.component_nodesets():
-        comp_mask = sum(1 << index[n] for n in comp)
-        # each nonempty node subset is charged, connected or not
-        mask = comp_mask
-        while mask:
+        budget.charge((1 << len(comp)) - 1)
+    full = (1 << len(graph.nodes)) - 1
+    for sub in _connected_sets(graph._neighbour_masks, full):
+        nodes = frozenset(graph.nodes[i] for i in _bits(sub))
+        internal = [
+            b for b in graph.bundles if b.u in nodes and b.v in nodes
+        ]
+        whole_graph = sub == full
+        if not internal:
+            if whole_graph:
+                continue
+            out.append(Tube(graph, nodes, (), check=False))
+            continue
+        choices = []
+        for b in internal:
+            subsets = []
+            for r in range(1, len(b.labels) + 1):
+                subsets.extend(itertools.combinations(b.labels, r))
+            choices.append(subsets)
+        for picked in itertools.product(*choices):
             budget.charge()
-            sub, mask = mask, (mask - 1) & comp_mask
-            if len(_split(graph._neighbour_masks, sub)) != 1:
+            labels = frozenset(itertools.chain.from_iterable(picked))
+            if whole_graph and all(
+                len(part) == len(b.labels) for part, b in zip(picked, internal)
+            ):
                 continue
-            nodes = frozenset(graph.nodes[i] for i in _bits(sub))
-            internal = [
-                b for b in graph.bundles if b.u in nodes and b.v in nodes
-            ]
-            whole_graph = connected and sub == comp_mask
-            if not internal:
-                if whole_graph:
-                    continue
-                out.append(Tube(graph, nodes, (), check=False))
-                continue
-            choices = []
-            for b in internal:
-                subsets = []
-                for r in range(1, len(b.labels) + 1):
-                    subsets.extend(itertools.combinations(b.labels, r))
-                choices.append(subsets)
-            for picked in itertools.product(*choices):
-                budget.charge()
-                labels = frozenset(itertools.chain.from_iterable(picked))
-                if whole_graph and all(
-                    len(part) == len(b.labels) for part, b in zip(picked, internal)
-                ):
-                    continue
-                out.append(Tube(graph, nodes, labels, check=False))
+            out.append(Tube(graph, nodes, labels, check=False))
     out.sort(key=Tube.sort_key)
     return tuple(out)
 

@@ -302,6 +302,24 @@ def test_cross_check_ranks_only_what_its_checks_read(monkeypatch, bundle_tree5, 
     assert len(ranked) == calls
 
 
+@pytest.mark.parametrize("checks", [("recovery",), ("even-star",)])
+def test_cross_check_builds_no_tube_system_for_checks_that_read_no_tube(
+    monkeypatch, bundle_tree5, checks
+):
+    built = []
+    real = TubeSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(TubeSystem, "__init__", counted)
+    budget = FaceBudget()
+    assert cross_check(bundle_tree5, budget, checks=checks).ok
+    assert built == []
+    assert budget.used == 0
+
+
 def test_cross_check_rejects_unknown_names(bundle_path3):
     with pytest.raises(ValueError):
         cross_check(bundle_path3, checks=("routes", "bogus"))
@@ -355,6 +373,32 @@ def test_disjoint_union_product_law(bundle_path3):
     assert poincare_reduced(union) == poincare_reduced(g) * poincare_reduced(extra)
     assert poincare_brute(union) == poincare_brute(g) * poincare_brute(extra)
     assert a_polynomial(union) == (a_polynomial(g) * a_polynomial(extra)).shift(1)
+
+
+def _beside(g, h):
+    """The disjoint union of g and h, h's nodes moved past g's and a "z"
+    added to each of its labels."""
+    shift = max(g.nodes)
+    moved = [(u + shift, v + shift, lab and lab + "z") for u, v, lab in h.edges]
+    return Pseudograph(list(g.nodes) + [n + shift for n in h.nodes], list(g.edges) + moved)
+
+
+@pytest.mark.parametrize("first, second, admits", [
+    ("bundle_path3", "bundle_cycle4", True),
+    ("bundle_path4", "bundle_path3", True),
+    ("bundle_tree5", "path3", False),  # path3 has no admissible collection
+    ("path3", "k4_double_bundle", False),
+])
+def test_a_polynomial_of_a_disjoint_union_is_t_times_the_product(request, first, second, admits):
+    """Künneth for joins, which poincare_reduced assumes of every
+    disconnected reduction and never computes: here a_polynomial ranks the
+    union graph itself."""
+    g, h = request.getfixturevalue(first), request.getfixturevalue(second)
+    union = _beside(g, h)
+    assert len(union.component_nodesets()) == 2
+    product = (a_polynomial(g) * a_polynomial(h)).shift(1)
+    assert product.is_zero() != admits
+    assert a_polynomial(union) == product
 
 
 def test_poincare_reduced_memo_lives_on_the_graph(bundle_path3):

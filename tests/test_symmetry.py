@@ -26,10 +26,10 @@ from tubings import (
     poincare_reduced,
 )
 from tubings.graphs import (
-    _admits,
+    _reduction,
     _reduction_keys,
-    admissible_reduction_classes,
     automorphism_generators,
+    connected_reduction_classes,
     isomorphism_classes,
 )
 from tubings import parity
@@ -220,15 +220,17 @@ def test_reduction_keys_agree_with_the_graphs_they_stand_for(g):
     reductions = enumerate_reductions(g)
     assert list(reductions) == reductions_built_edge_by_edge(g)
     assert len(keys) == len(reductions)
-    for key, h in zip(keys, reductions):
-        assert _admits(g, *key) == has_admissible(h) == bool(admissible_collections(h))
-    admissible = [h for h in reductions if has_admissible(h)]
-    classes = admissible_reduction_classes(g)
-    assert classes == isomorphism_classes(admissible)
+    for h in reductions:
+        assert has_admissible(h) == bool(admissible_collections(h))
+    admissible = [h for h in reductions if has_admissible(h) and h.is_connected()]
+    classes = [[_reduction(g, *key[1:]) for key in members] for members in connected_reduction_classes(g)]
+    assert sorted(len(members) for members in classes) == sorted(
+        count for _, count in isomorphism_classes(admissible))
+    assert all(len({canonical_form(h) for h in members}) == 1 for members in classes)
     by_form = {}
     for h in admissible:
         by_form[canonical_form(h)] = by_form.get(canonical_form(h), 0) + 1
-    assert {canonical_form(h): count for h, count in classes} == by_form
+    assert {canonical_form(members[0]): len(members) for members in classes} == by_form
 
 
 def path(n):
@@ -302,12 +304,20 @@ def test_reduction_class_counts(graph, reductions, classes):
     found = isomorphism_classes(h for h in enumerate_reductions(graph) if has_admissible(h))
     assert sum(count for _, count in found) == reductions
     assert len(found) == classes
-    assert admissible_reduction_classes(graph) == found
+    # the reductions on a connected node set, and their classes
+    connected, connected_classes = {path(9): (20, 4), complete(7): (63, 3)}[graph]
+    walked = connected_reduction_classes(graph)
+    assert sum(map(len, walked)) == connected
+    assert len(walked) == connected_classes
+    assert {canonical_form(_reduction(graph, *members[0][1:])): len(members) for members in walked} == {
+        canonical_form(h): count for h, count in found if h.is_connected()}
 
 
-@pytest.mark.parametrize("name", ["P6", "K5", "bundle_path3", "bundle_path4"])
+@pytest.mark.parametrize("name", ["P6", "K5", "bundle_path3", "bundle_path4", "P9", "bundle_path3+P2"])
 def test_reduced_route_is_the_unclassed_sum_over_admissible_reductions(name, request):
-    graph = {"P6": path(6), "K5": complete(5)}.get(name) or request.getfixturevalue(name)
+    graph = {"P6": path(6), "K5": complete(5), "P9": path(9), "bundle_path3+P2": Pseudograph(
+        [1, 2, 3, 4, 5], [(1, 2, "a"), (1, 2, "b"), (2, 3), (4, 5)],
+    )}.get(name) or request.getfixturevalue(name)
     total = IntPolynomial.zero()
     for h in enumerate_reductions(graph):
         if has_admissible(h):

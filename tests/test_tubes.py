@@ -20,6 +20,7 @@ from tubings import (
     odd_tube_complex,
     tubing_complex,
 )
+from tubings.graphs import _connected_sets, _split
 from test_acceptance import _small_connected_family
 from test_symmetry import pseudographs
 
@@ -143,6 +144,21 @@ def test_enumerate_tubes_matches_direct_filter(bundle_path4):
 @given(pseudographs())
 def test_enumerate_tubes_matches_direct_filter_on_random_graphs(g):
     assert_tubes_match_filter(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pseudographs(), st.data())
+def test_connected_sets_walk_every_connected_subset_once(g, data):
+    """Inside the whole node mask and inside a drawn one, disconnected
+    graphs included: each connected subset once, and nothing else."""
+    nbr = g._neighbour_masks
+    full = (1 << len(g.nodes)) - 1
+    assert list(_connected_sets(nbr, 0)) == []
+    for mask in (full, data.draw(st.integers(0, full))):
+        walked = list(_connected_sets(nbr, mask))
+        assert len(walked) == len(set(walked))
+        inside = (sub for sub in range(1, full + 1) if not sub & ~mask)
+        assert set(walked) == {sub for sub in inside if len(_split(nbr, sub)) == 1}
 
 
 @pytest.mark.parametrize(
