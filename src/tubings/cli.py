@@ -71,27 +71,18 @@ def build_parser():
         parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cmd = {}  # name: its subparser
+    for name, (_, help_) in _COMMANDS.items():
+        cmd[name] = p = sub.add_parser(name, parents=[common], help=help_)
+        p.add_argument("graph")
 
-    p = sub.add_parser("tubes", parents=[common], help="list all tubes")
-    p.add_argument("graph")
-
-    p = sub.add_parser("complex", parents=[common], help="tubing complex")
-    p.add_argument("graph")
-
-    p = sub.add_parser("betti", parents=[common], help="Betti numbers of a parity subcomplex")
-    p.add_argument("graph")
+    p = cmd["betti"]
     p.add_argument("--collection", required=True, help="comma-separated members")
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="odd")
 
-    p = sub.add_parser("apoly", parents=[common], help="a-polynomial of the graph")
-    p.add_argument("graph")
+    cmd["poincare"].add_argument("--method", choices=["reduced", "brute", "both"], default="both")
 
-    p = sub.add_parser("poincare", parents=[common], help="Poincare polynomial")
-    p.add_argument("graph")
-    p.add_argument("--method", choices=["reduced", "brute", "both"], default="both")
-
-    p = sub.add_parser("verify", parents=[common], help="cross-check both routes and the supporting identities")
-    p.add_argument("graph")
+    p = cmd["verify"]
     p.add_argument(
         "--max-collections",
         type=_positive_int,
@@ -101,8 +92,7 @@ def build_parser():
     )
     p.add_argument("--seed", type=int, default=0, help="seed for the sample (default 0)")
 
-    p = sub.add_parser("order-complex", parents=[common], help="order complex of a parity poset")
-    p.add_argument("graph")
+    p = cmd["order-complex"]
     p.add_argument("--collection", required=True)
     p.add_argument("--parity", choices=["odd", "even"], required=True)
     p.add_argument("--shellable", action="store_true", help="also search for a shelling order")
@@ -112,12 +102,6 @@ def build_parser():
         dest="include_collection",
         help="keep the element whose representation equals the collection",
     )
-
-    p = sub.add_parser("delzant-check", parents=[common], help="smoothness of all maximal tubings")
-    p.add_argument("graph")
-
-    p = sub.add_parser("lessdot", parents=[common], help="all reductions of the graph")
-    p.add_argument("graph")
 
     return parser
 
@@ -273,16 +257,17 @@ def _cmd_lessdot(ns, graph, budget):
     return {"count": len(reductions), "reductions": items}, lines, 0
 
 
+# name: (handler, help), in the order the help page lists them
 _COMMANDS = {
-    "tubes": _cmd_tubes,
-    "complex": _cmd_complex,
-    "betti": _cmd_betti,
-    "apoly": _cmd_apoly,
-    "poincare": _cmd_poincare,
-    "verify": _cmd_verify,
-    "order-complex": _cmd_order_complex,
-    "delzant-check": _cmd_delzant,
-    "lessdot": _cmd_lessdot,
+    "tubes": (_cmd_tubes, "list all tubes"),
+    "complex": (_cmd_complex, "tubing complex"),
+    "betti": (_cmd_betti, "Betti numbers of a parity subcomplex"),
+    "apoly": (_cmd_apoly, "a-polynomial of the graph"),
+    "poincare": (_cmd_poincare, "Poincare polynomial"),
+    "verify": (_cmd_verify, "cross-check both routes and the supporting identities"),
+    "order-complex": (_cmd_order_complex, "order complex of a parity poset"),
+    "delzant-check": (_cmd_delzant, "smoothness of all maximal tubings"),
+    "lessdot": (_cmd_lessdot, "all reductions of the graph"),
 }
 
 
@@ -291,7 +276,7 @@ def main(argv=None):
     try:
         graph = GraphDocument.from_path(ns.graph).graph
         budget = FaceBudget(getattr(ns, "face_budget", None))
-        payload, lines, exit_code = _COMMANDS[ns.command](ns, graph, budget)
+        payload, lines, exit_code = _COMMANDS[ns.command][0](ns, graph, budget)
     except FaceBudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

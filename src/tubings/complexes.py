@@ -17,7 +17,9 @@ elimination ranks again only the maps where torsion could hide (nonzero
 mod-2 Betti numbers on both sides).
 
 Reduced Betti vectors are indexed from dimension -1, so the empty complex
-(which still contains the empty face) has Betti vector (1,).
+(which still contains the empty face) has Betti vector (1,).  A
+:class:`BettiVector` is the :class:`IntPolynomial` of those numbers, the
+suspended Betti polynomial, so join factors multiply as polynomials.
 
 Face enumeration is metered by a :class:`FaceBudget`; exceeding it raises
 :class:`~tubings.errors.FaceBudgetExceededError` rather than grinding on.
@@ -85,53 +87,126 @@ class FaceBudget:
         return cls(budget)
 
 
-class BettiVector:
-    """Reduced Betti numbers, starting at dimension -1, trailing zeros cut."""
+class IntPolynomial:
+    """Integer polynomial in one variable, coefficients stored ascending."""
 
-    __slots__ = ("_values",)
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, values=()):
-        vals = list(values)
-        while vals and vals[-1] == 0:
-            vals.pop()
-        self._values = tuple(vals)
+    def __init__(self, coeffs=()):
+        c = list(coeffs)
+        while c and c[-1] == 0:
+            c.pop()
+        self._coeffs = tuple(c)
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    @classmethod
+    def one(cls):
+        return cls((1,))
+
+    def to_list(self):
+        return list(self._coeffs)
+
+    def degree(self):
+        return len(self._coeffs) - 1
+
+    def coefficient(self, k):
+        if 0 <= k < len(self._coeffs):
+            return self._coeffs[k]
+        return 0
+
+    def is_zero(self):
+        return not self._coeffs
+
+    def shift(self, k):
+        """Multiply by t**k, for k >= 0."""
+        if k < 0:
+            raise ValueError(f"cannot shift by t**{k}: the result would not be a polynomial")
+        if self.is_zero():
+            return self
+        return IntPolynomial((0,) * k + self._coeffs)
+
+    def __add__(self, other):
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] += v
+        return IntPolynomial(out)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return IntPolynomial(v * other for v in self._coeffs)
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
+        out = [0] * (len(self._coeffs) + len(other._coeffs))
+        for i, v in enumerate(self._coeffs):
+            if v:
+                for j, w in enumerate(other._coeffs):
+                    out[i + j] += v * w
+        return IntPolynomial(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        # a BettiVector is never equal to a plain polynomial
+        if type(other) is type(self):
+            return self._coeffs == other._coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._coeffs)
+
+    def __str__(self):
+        if not self._coeffs:
+            return "0"
+        parts = []
+        for i, v in enumerate(self._coeffs):
+            if v == 0:
+                continue
+            if i == 0:
+                parts.append(str(v))
+            else:
+                power = "t" if i == 1 else f"t^{i}"
+                parts.append(power if v == 1 else f"{v}{power}")
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return f"IntPolynomial({list(self._coeffs)})"
+
+
+class BettiVector(IntPolynomial):
+    """Reduced Betti numbers, starting at dimension -1, trailing zeros cut:
+    the coefficients of the suspended Betti polynomial."""
+
+    __slots__ = ()
 
     @classmethod
     def zeros(cls):
         return cls(())
 
     def get(self, dim):
-        i = dim + 1
-        if 0 <= i < len(self._values):
-            return self._values[i]
-        return 0
-
-    def to_list(self):
-        return list(self._values)
-
-    def is_zero(self):
-        return not self._values
+        return self.coefficient(dim + 1)
 
     def euler(self):
         """Reduced Euler characteristic, the dimension -1 term included."""
-        return sum(v if i % 2 else -v for i, v in enumerate(self._values))
-
-    def __eq__(self, other):
-        if isinstance(other, BettiVector):
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values)
+        return sum(v if i % 2 else -v for i, v in enumerate(self._coeffs))
 
     def __len__(self):
-        return len(self._values)
+        return len(self._coeffs)
 
     def __iter__(self):
-        return iter(self._values)
+        return iter(self._coeffs)
 
     def __repr__(self):
-        return f"BettiVector({list(self._values)})"
+        return f"BettiVector({list(self._coeffs)})"
+
+    __str__ = __repr__
 
 
 @dataclass(frozen=True)
@@ -342,17 +417,13 @@ class SimplicialComplex:
         # a face of the join is a face, possibly empty, of each factor
         sizes = [sum(map(len, levels)) for _, levels in factors]
         budget.charge(math.prod(f + 1 for f in sizes) - 1 - sum(sizes))
-        betti = [1]
+        parts = []
         for adj, levels in factors:
-            factor = _betti_from_levels(levels, len(_split(adj, (1 << len(adj)) - 1)))
-            if factor.is_zero():
-                return factor
-            product = [0] * (len(betti) + len(factor) - 1)
-            for i, x in enumerate(betti):
-                for j, y in enumerate(factor):
-                    product[i + j] += x * y
-            betti = product
-        return BettiVector(betti)
+            part = _betti_from_levels(levels, len(_split(adj, (1 << len(adj)) - 1)))
+            if part.is_zero():
+                return part
+            parts.append(part)
+        return BettiVector(math.prod(parts, start=IntPolynomial.one())._coeffs)
 
     def euler_reduced(self, budget=None):
         """Alternating face-count sum minus one (no collapse, direct count)."""

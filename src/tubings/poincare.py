@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from operator import or_
 
-from .complexes import FaceBudget
+from .complexes import FaceBudget, IntPolynomial
 from .graphs import (
     _reduction,
     _reduction_key,
@@ -43,92 +43,6 @@ from .parity import (
     odd_tube_complex,
 )
 from .tubes import TubeSystem
-
-
-class IntPolynomial:
-    """Integer polynomial in one variable, coefficients stored ascending."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self._coeffs = tuple(c)
-
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    def to_list(self):
-        return list(self._coeffs)
-
-    def degree(self):
-        return len(self._coeffs) - 1
-
-    def coefficient(self, k):
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return 0
-
-    def is_zero(self):
-        return not self._coeffs
-
-    def shift(self, k):
-        """Multiply by t**k."""
-        if self.is_zero():
-            return self
-        return IntPolynomial((0,) * k + self._coeffs)
-
-    def __add__(self, other):
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return IntPolynomial(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(v * other for v in self._coeffs)
-        out = [0] * (len(self._coeffs) + len(other._coeffs))
-        for i, v in enumerate(self._coeffs):
-            if v:
-                for j, w in enumerate(other._coeffs):
-                    out[i + j] += v * w
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, IntPolynomial):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __str__(self):
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for i, v in enumerate(self._coeffs):
-            if v == 0:
-                continue
-            if i == 0:
-                parts.append(str(v))
-            else:
-                power = "t" if i == 1 else f"t^{i}"
-                parts.append(power if v == 1 else f"{v}{power}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"IntPolynomial({list(self._coeffs)})"
 
 
 def from_betti_suspended(betti):

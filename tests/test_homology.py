@@ -87,6 +87,21 @@ def test_betti_vector_trims_and_indexes():
     assert BettiVector.zeros() == BettiVector([])
 
 
+def test_betti_vector_is_a_polynomial_that_prints_and_compares_as_its_own():
+    b = BettiVector([0, 1, 0])
+    assert isinstance(b, IntPolynomial)
+    assert repr(b) == str(b) == "BettiVector([0, 1])"
+    assert len(b) == 2 and list(b) == [0, 1] and b.to_list() == [0, 1]
+    assert b.get(-1) == 0 and b.get(0) == 1 and b.euler() == 1
+    zeros = BettiVector.zeros()
+    assert type(zeros) is BettiVector and len(zeros) == 0 and not zeros
+    assert list(zeros) == [] and zeros.to_list() == [] and zeros.euler() == 0
+    # equal coefficients, but a Betti vector is not a plain polynomial
+    assert BettiVector([1]) != IntPolynomial([1]) and IntPolynomial([1]) != BettiVector([1])
+    assert not BettiVector([1]) == IntPolynomial([1]) and not IntPolynomial([1]) == BettiVector([1])
+    assert BettiVector([1]) == BettiVector([1, 0]) and hash(b) == hash(BettiVector([0, 1]))
+
+
 def test_betti_euler_is_an_integer():
     b = BettiVector([0, 0, 0, 9])
     assert b.euler() == 9
@@ -104,6 +119,25 @@ def test_known_homology():
     assert two_points.betti_reduced().to_list() == [0, 1]
     assert points().betti_reduced().to_list() == [1]
     assert sphere(2).betti_reduced().to_list() == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "k, betti",
+    [
+        pytest.param(points(), [1], id="void"),
+        pytest.param(simplex(1, 2, 3), [], id="one-vertex-core"),
+        pytest.param(
+            SimplicialComplex.flag(range(5), lambda u, v: (v - u) % 5 in (1, 4)),
+            [0, 0, 1],
+            id="one-factor-core",
+        ),
+        pytest.param(octahedron(), [0, 0, 0, 1], id="three-s0-factors"),
+    ],
+)
+def test_betti_reduced_returns_a_betti_vector(k, betti):
+    b = k.betti_reduced()
+    assert type(b) is BettiVector
+    assert b.to_list() == betti and b == BettiVector(betti)
 
 
 def test_torus_like_flag_complex():

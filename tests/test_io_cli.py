@@ -19,6 +19,7 @@ from tubings import (
     parse_graph,
     serialize_graph,
 )
+from tubings import cli
 from tubings.cli import build_parser, main
 
 from test_cli_golden import GOLDEN_PATH, run_case
@@ -231,6 +232,17 @@ def test_cli_calls_in_one_process_share_one_parser(tmp_path, capsys, monkeypatch
     assert exc.value.code == 2
     assert "--collection" in capsys.readouterr().err
     assert run_case("sample-betti-odd", tmp_path) == golden["sample-betti-odd"]
+
+
+def test_cli_subcommands_are_the_command_table(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "{" + ",".join(cli._COMMANDS) + "}" in capsys.readouterr().out
+    for name in cli._COMMANDS:
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        page = capsys.readouterr().out
+        assert page.startswith(f"usage: tubings {name} ") and "\n  graph\n" in page
 
 
 def test_cli_missing_file(tmp_path, capsys):

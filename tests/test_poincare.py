@@ -55,6 +55,36 @@ def test_polynomial_arithmetic():
     assert p != q and hash(p) == hash(IntPolynomial([1, 2]))
 
 
+def test_polynomial_arithmetic_rejects_what_is_not_a_polynomial():
+    p = IntPolynomial([0, 1, 2])
+    with pytest.raises(ValueError):
+        p.shift(-1)
+    with pytest.raises(ValueError):
+        IntPolynomial.zero().shift(-1)
+    for other in (1, 2.5, "t", None, [1]):
+        with pytest.raises(TypeError):
+            p + other
+        with pytest.raises(TypeError):
+            other + p
+    for other in (2.5, "t", None, [1]):
+        with pytest.raises(TypeError):
+            p * other
+        with pytest.raises(TypeError):
+            other * p
+    assert p.shift(0) == p and (p * -1).to_list() == [0, -1, -2]
+
+
+def test_public_names_survive_the_polynomial_move():
+    import tubings
+    from tubings import complexes
+
+    assert len(tubings.__all__) == len(set(tubings.__all__)) == 76
+    for name in tubings.__all__:
+        assert getattr(tubings, name) is not None, name
+    assert tubings.IntPolynomial is poincare.IntPolynomial is complexes.IntPolynomial
+    assert tubings.BettiVector is complexes.BettiVector
+
+
 def test_betti_to_polynomial():
     b = BettiVector([0, 0, 1, 2])
     assert from_betti_suspended(b).to_list() == [0, 0, 1, 2]
@@ -62,6 +92,8 @@ def test_betti_to_polynomial():
     empty = BettiVector([1])  # homology of the void complex
     assert from_betti_suspended(empty) == IntPolynomial.one()
     assert from_betti_tilde(empty).is_zero()
+    # both return plain polynomials, never a Betti vector
+    assert type(from_betti_suspended(b)) is type(from_betti_tilde(b)) is IntPolynomial
 
 
 def test_bundle_path_both_routes(bundle_path3):
