@@ -74,7 +74,7 @@ def test_polynomial_arithmetic_rejects_what_is_not_a_polynomial():
     assert p.shift(0) == p and (p * -1).to_list() == [0, -1, -2]
 
 
-def test_public_names_survive_the_polynomial_move():
+def test_public_names_resolve_and_share_one_polynomial_class():
     import tubings
     from tubings import complexes
 
