@@ -10,7 +10,9 @@ numbers are rational, after a strong collapse that deletes dominated
 vertices.  The core left is the join of the flag complexes on the components
 of the complement of its 1-skeleton (vertices in different components are
 adjacent), and its suspended Betti polynomial is the product of theirs
-(Kunneth over the rationals), so each factor is ranked on its own.  In a
+(Kunneth over the rationals), so each factor is ranked on its own, and
+once per universe: the full subcomplexes of a universe share one memo from
+a factor's renumbered adjacency to its Betti vector and face count.  In a
 factor the edge map's rank is its vertex count less its component count;
 the maps above are ranked over GF(2) with clearing, and exact integer
 elimination ranks again only the maps where torsion could hide (nonzero
@@ -253,7 +255,8 @@ class SimplicialComplex:
     ``vertices`` at first; a full subcomplex narrows only the mask, so bit i
     stays the i-th vertex given."""
 
-    __slots__ = ("_vertices", "_adj", "_mask")
+    # _factors: renumbered join-factor adjacency -> (BettiVector, face count)
+    __slots__ = ("_vertices", "_adj", "_mask", "_factors")
 
     def __init__(self, vertices, adj):
         self._vertices = tuple(vertices)
@@ -261,14 +264,16 @@ class SimplicialComplex:
             raise VertexClashError("duplicate vertices in complex")
         self._adj = tuple(adj)
         self._mask = (1 << len(self._vertices)) - 1
+        self._factors = {}
 
     def _on(self, mask):
         """The full subcomplex on the vertex mask ``mask``, sharing this
-        complex's universe and adjacency."""
+        complex's universe, adjacency and factor memo."""
         sub = object.__new__(SimplicialComplex)
         sub._vertices = self._vertices
         sub._adj = self._adj
         sub._mask = mask
+        sub._factors = self._factors
         return sub
 
     # -- construction -----------------------------------------------------
@@ -366,6 +371,7 @@ class SimplicialComplex:
         joined._vertices = self._vertices + other._vertices
         joined._adj = tuple(adj)
         joined._mask = self._mask | mask2
+        joined._factors = {}
         return joined
 
     # -- homology ---------------------------------------------------------
@@ -403,26 +409,41 @@ class SimplicialComplex:
     def betti_reduced(self, budget=None):
         """Reduced Betti numbers over the rationals, from dimension -1: the
         product of the core's join factors' suspended Betti polynomials.
-        The budget is charged every face of a core of two or more vertices."""
+        The budget is charged every face of a core of two or more vertices.
+        A join factor is ranked once per universe: its renumbered adjacency
+        keys the universe's memo, and a hit charges the faces it counted."""
         budget = FaceBudget.ensure(budget)
         alive = self._flag_core_mask()
         if alive.bit_count() == 1:
             return BettiVector.zeros()
-        factors = []
+        memo = self._factors
+        factors, sizes = [], []
+        fresh = {}  # (levels, face count) of the factors not in the memo
         for part in _join_factors(self._adj, alive):
             # renumbered to bits 0..k-1, the factor's face masks are one-digit ints
             at = {v: k for k, v in enumerate(_bits(part))}
-            adj = [sum(1 << at[u] for u in _bits(self._adj[v] & part)) for v in at]
-            factors.append((adj, _clique_levels(adj, (1 << len(adj)) - 1, budget)))
+            adj = tuple(sum(1 << at[u] for u in _bits(self._adj[v] & part)) for v in at)
+            known = memo.get(adj) or fresh.get(adj)
+            if known:
+                budget.charge(known[1])
+            else:
+                levels = _clique_levels(adj, (1 << len(adj)) - 1, budget)
+                known = fresh[adj] = levels, sum(map(len, levels))
+            factors.append(adj)
+            sizes.append(known[1])
         # a face of the join is a face, possibly empty, of each factor
-        sizes = [sum(map(len, levels)) for _, levels in factors]
         budget.charge(math.prod(f + 1 for f in sizes) - 1 - sum(sizes))
         parts = []
-        for adj, levels in factors:
-            part = _betti_from_levels(levels, len(_split(adj, (1 << len(adj)) - 1)))
+        for adj in factors:
+            if adj not in memo:
+                levels, size = fresh[adj]
+                memo[adj] = _betti_from_levels(levels, len(_split(adj, (1 << len(adj)) - 1))), size
+            part = memo[adj][0]
             if part.is_zero():
                 return part
             parts.append(part)
+        if len(parts) == 1:
+            return parts[0]
         return BettiVector(math.prod(parts, start=IntPolynomial.one())._coeffs)
 
     def euler_reduced(self, budget=None):

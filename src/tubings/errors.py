@@ -34,7 +34,8 @@ class UnknownBundleError(GraphError):
 
 
 class UnknownMemberError(TubingsError):
-    """A collection member is neither a node nor a bundle-edge label."""
+    """A collection member is neither a node nor a bundle-edge label, or a
+    collection string names a member twice or leaves one empty."""
 
 
 class NotInAnyBundleError(UnknownMemberError):

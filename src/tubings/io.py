@@ -117,8 +117,8 @@ def parse_collection(text, graph):
         token = token.strip()
         if not token:
             raise UnknownMemberError("empty member in collection string")
-        if _INT_RE.match(token):
-            members.append(int(token))
-        else:
-            members.append(token)
+        member = int(token) if _INT_RE.match(token) else token
+        if member in members:
+            raise UnknownMemberError(f"member {member!r} repeated in collection string")
+        members.append(member)
     return Collection.of(graph, members)

@@ -173,7 +173,10 @@ def cross_check(
     ``failures`` hold the first offending collection per failed check.
     ``designation`` orders the even collections, so it picks the sample
     and which offending collection comes first; no polynomial depends on it.
-    A call ranks each tube mask it asks for once, whichever checks ask.
+    A call ranks each tube mask it asks for once, whichever checks ask, and
+    each distinct join factor of those complexes once, since they share one
+    tube system's factor memo; the reduced route it compares with builds
+    its own systems, and so its own memos.
     """
     chosen = set(ALL_CHECKS if checks is None else checks)
     bad = chosen - set(ALL_CHECKS)

@@ -396,6 +396,42 @@ def test_octahedron_splits_into_its_three_s0_factors():
 
 
 @settings(max_examples=150, deadline=None)
+@given(small_graphs(max_vertices=12), st.lists(st.integers(0, (1 << 12) - 1), max_size=8))
+def test_full_subcomplexes_share_a_sound_factor_memo(graph, masks):
+    """Full subcomplexes of one universe share its join-factor memo: each
+    gets the Betti vector and face charge of a fresh universe."""
+    n, _, adj = graph
+    universe = SimplicialComplex(range(n), adj)
+    for mask in masks:
+        mask &= universe._mask
+        shared, fresh = FaceBudget(), FaceBudget()
+        expected = SimplicialComplex(range(n), adj)._on(mask).betti_reduced(fresh)
+        assert universe._on(mask).betti_reduced(shared) == expected
+        assert shared.used == fresh.used
+    assert universe.induced(range(n))._factors is universe._factors
+
+
+def test_the_octahedron_ranks_its_one_s0_factor_once(monkeypatch):
+    ranked = []
+
+    def counted(levels, components):
+        ranked.append(levels)
+        return _betti_from_levels(levels, components)
+
+    monkeypatch.setattr(complexes, "_betti_from_levels", counted)
+    k = octahedron()
+    budget = FaceBudget()
+    assert k.betti_reduced(budget).to_list() == [0, 0, 0, 1]
+    assert len(ranked) == 1 and budget.used == 26
+    # the universe's memo answers its subcomplexes, and still charges
+    assert k.induced(range(4)).betti_reduced(budget).to_list() == [0, 0, 1]
+    assert len(ranked) == 1 and budget.used == 26 + 8
+    # a join is a new universe with a memo of its own
+    assert k.join(points("p", "q")).betti_reduced().to_list() == [0, 0, 0, 0, 1]
+    assert len(ranked) == 2
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.lists(small_graphs(max_vertices=4, min_vertices=1), min_size=2, max_size=3))
 def test_betti_splits_a_join_into_its_factors(graphs):
     """Joins of 2 or 3 flag complexes on disjoint vertices: the Betti numbers
@@ -596,6 +632,10 @@ def test_adjacent_mod2_homology_falls_back_to_exact_rank(monkeypatch, build, mod
     calls.clear()
     assert k.betti_reduced().to_list() == rational
     assert calls
+    # and once only: the universe's factor memo answers a second call
+    calls.clear()
+    assert k.betti_reduced().to_list() == rational
+    assert not calls
 
 
 # The edge map is never built: its rank is the vertex count less the number

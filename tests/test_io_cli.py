@@ -97,6 +97,10 @@ def test_parse_collection(bundle_path3):
         parse_collection("zz", g)
     with pytest.raises(UnknownMemberError):
         parse_collection("9", g)
+    # a repeated member would change the collection's parity unseen
+    for text in ("2,2", "2,a,a", "02,2"):
+        with pytest.raises(UnknownMemberError, match="repeated"):
+            parse_collection(text, g)
 
 
 def test_graph_document(tmp_path):
@@ -258,6 +262,9 @@ def test_cli_bad_input(tmp_path, graph_file, capsys):
 
     assert main(["betti", graph_file, "--collection", "zz"]) == 2
     assert "error:" in capsys.readouterr().err
+
+    assert main(["betti", graph_file, "--collection", "1,1"]) == 2
+    assert "repeated" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

@@ -467,6 +467,51 @@ def test_no_budget_is_one_default_budget_for_the_whole_call(monkeypatch, route, 
         route(make())
 
 
+def _complete(n, labels=(None,)):
+    """Edges of K_n, the edge 1-2 carrying ``labels``, one plain edge by default."""
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return [(1, 2, lab) for lab in labels] + [(u, v, None) for u, v in pairs if (u, v) != (1, 2)]
+
+
+@pytest.mark.parametrize("route", range(3), ids=["brute", "a-polynomial", "cross-check"])
+@pytest.mark.parametrize(
+    "edges, charged",
+    [
+        pytest.param([(i, i + 1, None) for i in range(1, 6)], (265, 209, 540), id="P6"),
+        # no admissible collection on an odd node count: no a-polynomial face
+        pytest.param(_complete(5), (53, 0, 191), id="K5"),
+        pytest.param(
+            [(1, 2, "a"), (1, 2, "b"), (2, 3, None), (3, 4, "c"), (3, 4, "d")],
+            (517, 385, 1272),
+            id="bundle 4-path",
+        ),
+        pytest.param(_complete(4, "abc"), (209, 165, 821), id="K4, 3-edge bundle"),
+        pytest.param(
+            [(1, 2, lab) for lab in "abcdef"] + [(2, 3, None)],
+            (2837, 1291, 8009),
+            id="3-path, 6-edge bundle",
+        ),
+    ],
+)
+def test_each_route_charges_a_pinned_face_count(edges, charged, route):
+    """A join factor a complex's universe has ranked is not enumerated
+    again, but its faces are charged again, so the counts stay those of
+    ranking every complex afresh; one face less is over budget.  Each call
+    gets a fresh graph, so the reduced route's memo on the graph answers none."""
+    nodes = sorted({v for e in edges for v in e[:2]})
+    call = (
+        poincare_brute,
+        a_polynomial,
+        lambda g, b: cross_check(g, b, checks=("routes", "zero", "even-star")),
+    )[route]
+    budget = FaceBudget()
+    call(Pseudograph(nodes, edges), budget)
+    assert budget.used == charged[route]
+    if charged[route]:
+        with pytest.raises(FaceBudgetExceededError):
+            call(Pseudograph(nodes, edges), FaceBudget(charged[route] - 1))
+
+
 def test_designation_choice_is_invisible(bundle_path3, bundle_cycle4):
     for g in (bundle_path3, bundle_cycle4):
         base = poincare_reduced(g)
