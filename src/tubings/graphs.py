@@ -326,9 +326,6 @@ class Collection:
     def issubset_of(self, graph):
         return graph._adjacency.keys() >= self.nodes and graph._bundle_by_label.keys() >= self.labels
 
-    def sort_key(self):
-        return (tuple(sorted(self.nodes)), tuple(sorted(self.labels)))
-
     def __repr__(self):
         items = sorted(map(str, self.nodes)) + sorted(self.labels)
         return f"Collection({{{', '.join(items)}}})"
@@ -388,12 +385,25 @@ class Designation:
         return designation.validate(graph)
 
 
+def _pairing(graph, designation=None):
+    """The designation's pairing: (member, partner) for each ground member
+    outside it, in ground order.  A node's partner is the designated node
+    of its component, a label's the designated label of its bundle.  The
+    even collections, the characteristic matrix, the normal generator
+    matrix and every facet normal read these pairs."""
+    d = Designation.resolve(graph, designation)
+    designated = d.nodes | d.labels
+    partner = {}
+    for part in (*graph.component_nodesets(), *(b.labels for b in graph.bundles)):
+        (last,) = designated.intersection(part)
+        partner.update(dict.fromkeys(part, last))
+    return tuple((m, partner[m]) for m in graph.ground_members() if partner[m] != m)
+
+
 def restricted_ground(graph, designation=None):
     """Ground members minus the designated node of each component and the
     designated label of each bundle, in canonical order."""
-    d = Designation.resolve(graph, designation)
-    dropped = d.nodes | d.labels
-    return tuple(m for m in graph.ground_members() if m not in dropped)
+    return tuple(m for m, _ in _pairing(graph, designation))
 
 
 def touched_nodes(graph, collection):

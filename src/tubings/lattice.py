@@ -2,13 +2,15 @@
 
 For a connected graph, rows are indexed by the restricted ground set (all
 nodes and bundle labels except one designated node and one designated
-label per bundle) and columns by the full ground set.  The generator
-matrix has -1 on the diagonal and +1 in the designated column of the same
-sort; a facet normal is the column sum over a tube's representation.
+label per bundle) and columns by the full ground set.  Every row reads
+the designation's pairing of each such member m with its designated
+partner: the generator matrix has -1 at m and +1 at the partner, so a
+facet normal, the column sum over a tube's representation, has
+[partner in tube] - [m in tube] in row m.
 
 The characteristic matrix reduces tube incidence over GF(2) by the same
-designation, one row operation per dropped member; its columns agree with
-the facet normals mod 2, which the tests exercise as a second route.
+pairs, one row operation per dropped member; its columns agree with the
+facet normals mod 2, which the tests exercise as a second route.
 
 ``delzant_check`` confirms that every maximal tubing yields a normal
 matrix of determinant +-1, the smoothness condition for the polytope.
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from ._intlinalg import det_bareiss, gf2_rank
 from .complexes import FaceBudget, _bits
 from .errors import DisconnectedError, HostMismatchError
-from .graphs import Designation, restricted_ground
-from .parity import _EvenFamily, _odd_tubes, _require_subset
+from .graphs import _pairing
+from .parity import _odd_tubes, _require_subset
 from .tubes import TubeSystem
 
 
@@ -74,44 +76,37 @@ def polytope_dimension(graph):
 def normal_generator_matrix(graph, designation=None):
     """Matrix whose columns generate all facet normals (connected graphs).
 
-    Rows follow the restricted ground set, columns the full ground set.
+    Rows follow the restricted ground set, columns the full ground set:
+    row m has -1 at m and +1 at its designated partner.
     """
     _require_connected(graph)
-    d = Designation.resolve(graph, designation)
-    rows = restricted_ground(graph, d)
+    pairs = _pairing(graph, designation)
     cols = graph.ground_members()
-    designated_node = next(iter(d.nodes))
-    entries = []
-    for r in rows:
-        row = []
-        if isinstance(r, int):
-            partner = designated_node
-        else:
-            bundle = graph.bundle_of(r)
-            partner = next(iter(d.labels & set(bundle.labels)))
-        for c in cols:
-            if c == r:
-                row.append(-1)
-            elif c == partner:
-                row.append(1)
-            else:
-                row.append(0)
-        entries.append(row)
-    return LabeledMatrix(rows, cols, entries)
+    entries = [[(c == p) - (c == m) for c in cols] for m, p in pairs]
+    return LabeledMatrix([m for m, _ in pairs], cols, entries)
 
 
-def facet_normal(graph, tube, designation=None, matrix=None):
+def _normal(pairs, tube):
+    """The facet normal of ``tube`` over a designation's ``pairs``: per
+    (member, partner) pair, [partner in tube] - [member in tube]."""
+    rep = tube.representation()
+    return tuple((p in rep) - (m in rep) for m, p in pairs)
+
+
+def facet_normal(graph, tube, designation=None):
     """Column sum of the generator matrix over the tube's representation."""
     if tube.host != graph:
         raise HostMismatchError("tube belongs to a different graph")
-    if matrix is None:
-        matrix = normal_generator_matrix(graph, designation)
-    total = [0] * len(matrix.row_labels)
-    for member in tube.representation():
-        col = matrix.column(member)
-        for i, v in enumerate(col):
-            total[i] += v
-    return tuple(total)
+    _require_connected(graph)
+    return _normal(_pairing(graph, designation), tube)
+
+
+def _tube_matrix(system, row_labels, masks):
+    """0/1 matrix of ``row_labels`` against the tubes of ``system``: the
+    row of a label is its bitmask over the tubes, in ``masks``."""
+    cols = tuple(t.name() for t in system.tubes)
+    entries = [[mask >> j & 1 for j in range(len(cols))] for mask in masks]
+    return LabeledMatrix(row_labels, cols, entries)
 
 
 def tube_incidence_matrix(graph, budget=None):
@@ -119,36 +114,32 @@ def tube_incidence_matrix(graph, budget=None):
     the tube's representation."""
     _require_connected(graph)
     system = TubeSystem(graph, budget)
-    cols = tuple(t.name() for t in system.tubes)
-    entries = [[c >> j & 1 for j in range(len(cols))] for c in system.columns]
-    return LabeledMatrix(graph.ground_members(), cols, entries)
+    return _tube_matrix(system, graph.ground_members(), system.columns)
 
 
-def _characteristic_row_masks(system, designation=None):
+def _characteristic_row_masks(system, pairs):
     """Rows of the characteristic matrix as bitmasks over the tube columns
-    of ``system``: the parity map of each row of
+    of ``system``: per (member, partner) pair, the tubes holding exactly
+    one of the two, the parity map of that row of
     :class:`~tubings.parity._EvenFamily`."""
-    return [_odd_tubes(system, row) for row in _EvenFamily(system.graph, designation).rows]
+    index = system.graph.ground_index()
+    return [system.columns[index[m]] ^ system.columns[index[p]] for m, p in pairs]
 
 
 def characteristic_matrix(graph, designation=None, budget=None):
     """GF(2) matrix over restricted ground rows and tube columns."""
     _require_connected(graph)
     system = TubeSystem(graph, budget)
-    d = Designation.resolve(graph, designation)
-    masks = _characteristic_row_masks(system, d)
-    rows = restricted_ground(graph, d)
-    cols = tuple(t.name() for t in system.tubes)
-    n = len(system.tubes)
-    entries = [[mask >> j & 1 for j in range(n)] for mask in masks]
-    return LabeledMatrix(rows, cols, entries)
+    pairs = _pairing(graph, designation)
+    return _tube_matrix(system, [m for m, _ in pairs], _characteristic_row_masks(system, pairs))
 
 
 def characteristic_rank(graph, budget=None):
     """GF(2) rank of the characteristic matrix.  Row operations keep the
     rank, so it is the same for every designation; the default is used."""
     _require_connected(graph)
-    return gf2_rank(_characteristic_row_masks(TubeSystem(graph, budget)))
+    system = TubeSystem(graph, budget)
+    return gf2_rank(_characteristic_row_masks(system, _pairing(graph)))
 
 
 def collection_parity_vector(graph, collection, budget=None):
@@ -186,8 +177,8 @@ def delzant_check(graph, budget=None):
     _require_connected(graph)
     budget = FaceBudget.ensure(budget)
     system = TubeSystem(graph, budget)
-    matrix = normal_generator_matrix(graph)
-    normals = [facet_normal(graph, t, matrix=matrix) for t in system.tubes]
+    pairs = _pairing(graph)
+    normals = [_normal(pairs, t) for t in system.tubes]
     dim = polytope_dimension(graph)
     failures = []
     sizes = set()
@@ -204,7 +195,7 @@ def delzant_check(graph, budget=None):
             reason = f"determinant {det}"
         names = tuple(system.tubes[i].name() for i in bits)
         failures.append(DelzantFailure(names, reason))
-    rank = gf2_rank(_characteristic_row_masks(system))
+    rank = gf2_rank(_characteristic_row_masks(system, pairs))
     if rank != dim:
         failures.append(DelzantFailure((), f"characteristic rank {rank} != {dim}"))
     return DelzantReport(

@@ -2,11 +2,12 @@
 
 A *collection* is a subset of the ground set (nodes plus bundle labels).
 It is *even* when every connected component holds an even number of its
-nodes and every bundle an even number of its labels.  Fixing one node per
-component and one label per bundle, every free member m pairs with the
-fixed member of its component or bundle, and the even collections are the
-XORs of these pairs {m, fix(m)}, the rows of the characteristic matrix Λ:
-bit j of an index picks the j-th row.  That drives :func:`even_collections`.
+nodes and every bundle an even number of its labels.  A designation pairs
+every member m outside it with the designated member of its component or
+bundle (:func:`~tubings.graphs._pairing`), and the even collections are the
+XORs of these pairs {m, partner(m)}, the rows of the characteristic matrix
+Λ: bit j of an index picks the j-th row.  That drives
+:func:`even_collections`.
 
 For a collection C, the tubes whose representation meets C in an odd
 number of members span the odd subcomplex.  As a tube bitmask it is the
@@ -27,12 +28,11 @@ from .complexes import FaceBudget, _bits
 from .errors import HostMismatchError, NotEvenError
 from .graphs import (
     Collection,
-    Designation,
+    _pairing,
     _reduction_key,
     _split,
     automorphism_generators,
     reduced_graph,
-    restricted_ground,
 )
 from .tubes import Tube, TubeSystem, compatible
 
@@ -66,19 +66,13 @@ def meet_parity(tube, collection):
 
 class _EvenFamily:
     """The even collections of one graph as ground bitmasks: the one at
-    index k is the XOR of the rows of Λ, {free member, its fixed partner},
-    picked by the bits of k."""
+    index k is the XOR of the rows of Λ, {member, its partner}, picked by
+    the bits of k."""
 
     def __init__(self, graph, designation=None):
         self.graph = graph
-        d = Designation.resolve(graph, designation)
         index = graph.ground_index()
-        fix = {}
-        for comp in graph.component_nodesets():
-            fix.update(dict.fromkeys(comp, next(iter(d.nodes & comp))))
-        for b in graph.bundles:
-            fix.update(dict.fromkeys(b.labels, next(iter(d.labels & set(b.labels)))))
-        self.rows = [1 << index[m] | 1 << index[fix[m]] for m in restricted_ground(graph, d)]
+        self.rows = [1 << index[m] | 1 << index[p] for m, p in _pairing(graph, designation)]
 
     def count(self):
         return 1 << len(self.rows)

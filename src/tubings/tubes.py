@@ -187,8 +187,6 @@ class TubeSystem:
     __slots__ = (
         "graph",
         "tubes",
-        "member_order",
-        "member_index",
         "repr_masks",
         "columns",
         "separated",
@@ -198,14 +196,12 @@ class TubeSystem:
     def __init__(self, graph, budget=None):
         self.graph = graph
         self.tubes = enumerate_tubes(graph, budget)
-        self.member_order = graph.ground_members()
-        self.member_index = idx = graph.ground_index()
         self.repr_masks = [self.member_mask(t.representation()) for t in self.tubes]
-        self.columns = cols = [0] * len(self.member_order)
+        self.columns = cols = [0] * len(graph.ground_members())
         for j, rm in enumerate(self.repr_masks):
             for i in _bits(rm):
                 cols[i] |= 1 << j
-        closed = [self.member_mask(graph.neighbors(n)) | 1 << idx[n] for n in graph.nodes]
+        closed = [nbr | 1 << i for i, nbr in enumerate(graph._neighbour_masks)]
         full = (1 << len(self.tubes)) - 1
         ground = (1 << len(cols)) - 1
         nodes = (1 << len(closed)) - 1
@@ -231,9 +227,10 @@ class TubeSystem:
         self._complex = SimplicialComplex(self.tubes, compat)
 
     def member_mask(self, members):
+        index = self.graph.ground_index()
         m = 0
         for x in members:
-            m |= 1 << self.member_index[x]
+            m |= 1 << index[x]
         return m
 
     def collection_mask(self, collection):

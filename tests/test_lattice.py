@@ -20,10 +20,12 @@ from tubings import (
     facet_normal,
     normal_generator_matrix,
     polytope_dimension,
+    restricted_ground,
     tube_incidence_matrix,
 )
 import tubings.lattice
 from tubings._intlinalg import det_bareiss
+from tubings.graphs import _pairing
 from tubings.lattice import DelzantFailure, _characteristic_row_masks
 from tubings.parity import _EvenFamily
 
@@ -113,10 +115,10 @@ def test_characteristic_matrix(bundle_path3):
 def test_characteristic_agrees_with_normals_mod_two(bundle_path3, bundle_path4):
     for g in (bundle_path3, bundle_path4):
         lam = characteristic_matrix(g)
-        m = normal_generator_matrix(g)
+        d = Designation.default(g)
         system = TubeSystem(g, None)
         for t in system.tubes:
-            normal = facet_normal(g, t, matrix=m)
+            normal = facet_normal(g, t, d)
             assert lam.column(t.name()) == tuple(v % 2 for v in normal)
 
 
@@ -199,18 +201,18 @@ def test_delzant_work_scales_with_tubes(k4_triple_bundle, monkeypatch):
     """One facet normal per tube, however many tubings hold it, and no tube
     named when every tubing passes."""
     normals, names = [], []
-    facet_normal_ = tubings.lattice.facet_normal
+    normal = tubings.lattice._normal
     name = Tube.name
 
-    def spy_normal(graph, tube, designation=None, matrix=None):
+    def spy_normal(pairs, tube):
         normals.append(tube)
-        return facet_normal_(graph, tube, designation, matrix)
+        return normal(pairs, tube)
 
     def spy_name(tube):
         names.append(tube)
         return name(tube)
 
-    monkeypatch.setattr(tubings.lattice, "facet_normal", spy_normal)
+    monkeypatch.setattr(tubings.lattice, "_normal", spy_normal)
     monkeypatch.setattr(Tube, "name", spy_name)
     report = delzant_check(k4_triple_bundle)
     assert report.ok, report.failures
@@ -223,8 +225,7 @@ def test_delzant_work_scales_with_tubes(k4_triple_bundle, monkeypatch):
 def test_delzant_other_designation(bundle_path3, bundle_path4):
     """delzant_check works in the default designation only; every other
     designation is checked here directly: |det| = 1 over every maximal
-    tubing, the facet normals read off that designation's generator
-    matrix."""
+    tubing, the facet normals taken in that designation."""
     report = delzant_check(bundle_path4)
     assert report.ok, report.failures
     assert report.tubings_checked == 260
@@ -237,10 +238,9 @@ def test_delzant_other_designation(bundle_path3, bundle_path4):
         system = TubeSystem(g)
         masks = system.tubing_complex().maximal_face_masks()
         for d in (Designation.first(g), middle[g]):
-            matrix = normal_generator_matrix(g, d)
             for mask in masks:
                 tubes = [t for i, t in enumerate(system.tubes) if mask >> i & 1]
-                rows = [list(facet_normal(g, t, matrix=matrix)) for t in tubes]
+                rows = [list(facet_normal(g, t, d)) for t in tubes]
                 assert abs(det_bareiss(rows)) == 1, (d, [t.name() for t in tubes])
 
 
@@ -249,7 +249,13 @@ def test_connected_only():
     with pytest.raises(DisconnectedError):
         normal_generator_matrix(g)
     with pytest.raises(DisconnectedError):
+        facet_normal(g, Tube(g, [1]))
+    with pytest.raises(DisconnectedError):
         tube_incidence_matrix(g)
+    with pytest.raises(DisconnectedError):
+        characteristic_matrix(g)
+    with pytest.raises(DisconnectedError):
+        characteristic_rank(g)
     with pytest.raises(DisconnectedError):
         delzant_check(g)
     with pytest.raises(DisconnectedError):
@@ -272,6 +278,51 @@ def connected_pseudographs(draw):
     return Pseudograph(nodes, edges)
 
 
+@st.composite
+def designated_graphs(draw):
+    """A connected pseudograph with its default designation, its first
+    designation, or one node and one label per bundle drawn at random."""
+    g = draw(connected_pseudographs())
+    kind = draw(st.sampled_from(("default", "first", "drawn")))
+    if kind == "default":
+        return g, Designation.default(g)
+    if kind == "first":
+        return g, Designation.first(g)
+    labels = frozenset(draw(st.sampled_from(b.labels)) for b in g.bundles)
+    return g, Designation(frozenset({draw(st.sampled_from(g.nodes))}), labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(designated_graphs())
+def test_lattice_outputs_follow_the_designated_partners(case):
+    """A member outside the designation pairs with the designated node (the
+    graph is connected) or with the designated label on its own endpoint
+    pair, worked out here from the edges.  The generator matrix (-1 at the
+    member, +1 at its partner), every facet normal (that matrix's column
+    sum over the tube), the restricted ground set and the rows of the
+    even-collection index all follow these partners."""
+    g, d = case
+    (last,) = d.nodes
+    partner = dict.fromkeys(g.nodes, last)
+    ends = {lab: (u, v) for u, v, lab in g.edges if lab is not None}
+    for lab in d.labels:
+        partner.update((x, lab) for x, e in ends.items() if e == ends[lab])
+    ground = g.ground_members()
+    free = [m for m in ground if partner[m] != m]
+    rows = [[1 if c == partner[m] else -1 if c == m else 0 for c in ground] for m in free]
+    matrix = normal_generator_matrix(g, d)
+    assert matrix.row_labels == tuple(free)
+    assert matrix.col_labels == ground
+    assert matrix.to_lists() == rows
+    for t in TubeSystem(g).tubes:
+        rep = t.representation()
+        column_sum = tuple(sum(v for v, c in zip(row, ground) if c in rep) for row in rows)
+        assert facet_normal(g, t, d) == column_sum
+    assert restricted_ground(g, d) == tuple(free)
+    position = {m: i for i, m in enumerate(ground)}
+    assert _EvenFamily(g, d).rows == [1 << position[m] | 1 << position[partner[m]] for m in free]
+
+
 @settings(max_examples=60, deadline=None)
 @given(connected_pseudographs(), st.booleans())
 def test_odd_tube_masks_are_the_row_space_of_the_characteristic_matrix(g, first):
@@ -291,7 +342,7 @@ def test_odd_tube_masks_are_the_row_space_of_the_characteristic_matrix(g, first)
     for row, lam_row in zip(normals.entries, lam.entries):
         column_sums = [sum(a * b for a, b in zip(row, col)) % 2 for col in zip(*incidence)]
         assert list(lam_row) == column_sums
-    rows = _characteristic_row_masks(system, d)
+    rows = _characteristic_row_masks(system, _pairing(g, d))
     family = _EvenFamily(g, d)
     seen = set()
     for index in range(family.count()):

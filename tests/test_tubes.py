@@ -235,7 +235,7 @@ def test_tube_system_indexing(bundle_path3):
     assert sys.tubes[i] == t
     # representation masks track the declared member order
     mask = sys.repr_masks[i]
-    members = [m for j, m in enumerate(sys.member_order) if mask >> j & 1]
+    members = [m for j, m in enumerate(sys.graph.ground_members()) if mask >> j & 1]
     assert set(members) == {1, 2, "a", "b"}
 
 
@@ -319,7 +319,7 @@ def test_column_built_adjacency_is_pairwise_compatibility():
             assert system.separated[i] == sum(
                 1 << j for j, b in enumerate(tubes) if a.separated_from(b)
             )
-        for m, col in zip(system.member_order, system.columns):
+        for m, col in zip(system.graph.ground_members(), system.columns):
             assert col == sum(1 << j for j, t in enumerate(tubes) if m in t.representation())
 
 
