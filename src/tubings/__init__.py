@@ -99,81 +99,8 @@ from .tubes import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BettiVector",
-    "Bundle",
-    "Collection",
-    "CrossCheckReport",
-    "DelzantReport",
-    "Designation",
-    "DisconnectedError",
-    "DuplicateLabelError",
-    "FaceBudget",
-    "FaceBudgetExceededError",
-    "FinitePoset",
-    "GraphDocument",
-    "GraphError",
-    "GraphSyntaxError",
-    "HostMismatchError",
-    "IntPolynomial",
-    "LabeledMatrix",
-    "LoopEdgeError",
-    "NotEvenError",
-    "NotInAnyBundleError",
-    "Pseudograph",
-    "ShellingReport",
-    "SimplicialComplex",
-    "Tube",
-    "TubeSystem",
-    "TubeUnion",
-    "TubingsError",
-    "UnknownBundleError",
-    "UnknownMemberError",
-    "UnknownNodeError",
-    "UnknownNodeInEdgeError",
-    "UnlabelledBundleEdgeError",
-    "VertexClashError",
-    "a_polynomial",
-    "admissible_collections",
-    "characteristic_matrix",
-    "characteristic_rank",
-    "collection_parity_vector",
-    "compatible",
-    "components_all_even",
-    "confined_odd_complex",
-    "cross_check",
-    "delzant_check",
-    "enumerate_reductions",
-    "enumerate_tubes",
-    "even_collection_at",
-    "even_collection_count",
-    "even_collections",
-    "even_tube_complex",
-    "facet_normal",
-    "from_betti_suspended",
-    "from_betti_tilde",
-    "inflate_tube",
-    "inflation_matches",
-    "is_admissible",
-    "is_even",
-    "is_tubing",
-    "meet_parity",
-    "mobius_euler",
-    "normal_generator_matrix",
-    "odd_tube_complex",
-    "order_complex",
-    "parity_subgraph_poset",
-    "parse_collection",
-    "parse_graph",
-    "poincare_brute",
-    "poincare_reduced",
-    "polytope_dimension",
-    "reduced_graph",
-    "restricted_ground",
-    "saturated_odd_complex",
-    "serialize_graph",
-    "touched_nodes",
-    "touched_subgraph",
-    "tube_incidence_matrix",
-    "tubing_complex",
-]
+# the public names are the ones imported above, each written once
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__module__", "").startswith(__name__ + ".")
+)

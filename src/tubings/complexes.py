@@ -266,6 +266,15 @@ class SimplicialComplex:
         self._mask = (1 << len(self._vertices)) - 1
         self._factors = {}
 
+    @classmethod
+    def _universe(cls, vertices, adj):
+        """The complex on all of ``vertices``, a sequence of distinct
+        vertices kept as given, so that a lazy one is read only when a face
+        is named."""
+        k = object.__new__(cls)
+        k._vertices, k._adj, k._mask, k._factors = vertices, tuple(adj), (1 << len(adj)) - 1, {}
+        return k
+
     def _on(self, mask):
         """The full subcomplex on the vertex mask ``mask``, sharing this
         complex's universe, adjacency and factor memo."""
@@ -367,12 +376,8 @@ class SimplicialComplex:
         adj += [(m << n1) | self._mask for m in other._adj]
         # the universes may share vertices outside the masks, so the
         # constructor's check does not apply
-        joined = object.__new__(SimplicialComplex)
-        joined._vertices = self._vertices + other._vertices
-        joined._adj = tuple(adj)
-        joined._mask = self._mask | mask2
-        joined._factors = {}
-        return joined
+        universe = SimplicialComplex._universe((*self._vertices, *other._vertices), adj)
+        return universe._on(self._mask | mask2)
 
     # -- homology ---------------------------------------------------------
 

@@ -86,11 +86,11 @@ def normal_generator_matrix(graph, designation=None):
     return LabeledMatrix([m for m, _ in pairs], cols, entries)
 
 
-def _normal(pairs, tube):
-    """The facet normal of ``tube`` over a designation's ``pairs``: per
-    (member, partner) pair, [partner in tube] - [member in tube]."""
-    rep = tube.representation()
-    return tuple((p in rep) - (m in rep) for m, p in pairs)
+def _normal(pairs, mask):
+    """The facet normal of the tube with representation bitmask ``mask``
+    over a designation's pairs as ground indices: per (member, partner)
+    pair, [partner in tube] - [member in tube]."""
+    return tuple((mask >> p & 1) - (mask >> m & 1) for m, p in pairs)
 
 
 def facet_normal(graph, tube, designation=None):
@@ -98,7 +98,9 @@ def facet_normal(graph, tube, designation=None):
     if tube.host != graph:
         raise HostMismatchError("tube belongs to a different graph")
     _require_connected(graph)
-    return _normal(_pairing(graph, designation), tube)
+    index = graph.ground_index()
+    pairs = [(index[m], index[p]) for m, p in _pairing(graph, designation)]
+    return _normal(pairs, sum(1 << index[x] for x in tube.representation()))
 
 
 def _tube_matrix(system, row_labels, masks):
@@ -148,7 +150,7 @@ def collection_parity_vector(graph, collection, budget=None):
     _require_subset(graph, collection)
     system = TubeSystem(graph, budget)
     odd = _odd_tubes(system, system.collection_mask(collection))
-    return tuple(odd >> j & 1 for j in range(len(system.tubes)))
+    return tuple(odd >> j & 1 for j in range(len(system.repr_masks)))
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,9 @@ def delzant_check(graph, budget=None):
     budget = FaceBudget.ensure(budget)
     system = TubeSystem(graph, budget)
     pairs = _pairing(graph)
-    normals = [_normal(pairs, t) for t in system.tubes]
+    index = graph.ground_index()
+    at = [(index[m], index[p]) for m, p in pairs]
+    normals = [_normal(at, rm) for rm in system.repr_masks]
     dim = polytope_dimension(graph)
     failures = []
     sizes = set()

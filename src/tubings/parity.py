@@ -127,6 +127,8 @@ def odd_tube_complex(graph, collection, budget=None, system=None):
     _require_subset(graph, collection)
     if system is None:
         system = TubeSystem(graph, budget)
+    elif system.graph != graph:
+        raise HostMismatchError("the tube system belongs to a different graph")
     return system.complex_on(_odd_tubes(system, system.collection_mask(collection)))
 
 
@@ -136,7 +138,7 @@ def even_tube_complex(graph, collection, budget=None):
     _require_subset(graph, collection)
     system = TubeSystem(graph, budget)
     odd = _odd_tubes(system, system.collection_mask(collection))
-    return system.complex_on((1 << len(system.tubes)) - 1 & ~odd)
+    return system.complex_on((1 << len(system.repr_masks)) - 1 & ~odd)
 
 
 def _confined_tubes(system, members):

@@ -119,7 +119,7 @@ def parity_subgraph_poset(
     system = TubeSystem(graph, budget)
     alive = _odd_tubes(system, system.collection_mask(collection))
     if parity == "even":
-        alive ^= (1 << len(system.tubes)) - 1
+        alive ^= (1 << len(system.repr_masks)) - 1
 
     target = collection.members()
     elements = []

@@ -1,20 +1,22 @@
 """Tubes of a pseudograph and the complex of compatible tube systems.
 
 A tube is a connected subgraph that keeps every plain edge between its
-nodes, takes a nonempty subset of each internal bundle, and is not all of
-its connected component.  It is identified by its *representation*: the
-node set together with the chosen bundle labels.
+nodes, takes a nonempty subset of each internal bundle, and is not the
+whole graph.  It is identified by its *representation*: the node set
+together with the chosen bundle labels, or its bitmask over the ground
+order, the representation mask.
 
 Two distinct tubes are compatible when one representation properly
 contains the other, or when the tubes are separated (no shared node and no
-host edge between them).  The tubing complex is the flag complex of the
-compatibility relation, which a :class:`TubeSystem` reads off one column
-per ground member: the bitmask of the tubes holding it.
+host edge between them).  A :class:`TubeSystem` works on masks alone: the
+representation masks come straight from the connected-set walk, the
+tubing complex (the flag complex of compatibility) is read off one column
+per ground member, the bitmask of the tubes holding it, by per-chunk
+tables of those columns, and :class:`Tube` objects are built only when a
+tube is read.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .complexes import FaceBudget, SimplicialComplex, _bits
 from .errors import GraphError, HostMismatchError
@@ -132,45 +134,99 @@ def is_tubing(tubes):
     return True
 
 
+_GAPS = str.maketrans("01", "10")
+
+
+def _order_key(mask):
+    """Sorts nonzero bitmasks as the tuples of their bit indices sort:
+    character i is '0' if bit i is set, '1' if not, up to the highest."""
+    return bin(mask)[:1:-1].translate(_GAPS)
+
+
+def _tube_masks(graph, budget=None):
+    """Every tube's representation as a ground bitmask, in tube order: each
+    connected node set takes every nonempty submask of the label mask of
+    each bundle inside it.  Ground order is nodes, then labels, so sorting
+    the node sets and then each one's label choices by :func:`_order_key`
+    gives :meth:`Tube.sort_key`'s order.  The budget is charged 2^k - 1
+    per component of k nodes and one per label choice of a node set with a
+    bundle inside."""
+    budget = FaceBudget.ensure(budget)
+    for comp in graph.component_nodesets():
+        budget.charge((1 << len(comp)) - 1)
+    picks = []
+    for ends, labels in graph._bundle_masks:
+        subs = [labels]
+        while subs[-1]:
+            subs.append(subs[-1] - 1 & labels)
+        picks.append((ends, subs[:-1]))
+    full, out = (1 << len(graph.nodes)) - 1, []
+    for sub in sorted(_connected_sets(graph._neighbour_masks, full), key=_order_key):
+        inside = [subs for ends, subs in picks if sub & ends == ends]
+        reps, size = [sub], 1
+        for subs in inside:
+            size *= len(subs)
+        if inside:
+            budget.charge(size)  # before the choices are built
+            for subs in inside:
+                reps = [r | s for r in reps for s in subs]
+            reps.sort(key=_order_key)  # their node characters agree
+        if sub == full:  # the whole graph with every label
+            reps.remove((1 << len(graph.ground_members())) - 1)
+        out += reps
+    return out
+
+
+class _Tubes:
+    """The tubes of ``graph`` with representation bitmasks ``masks``, in
+    that order: a sequence that builds its :class:`Tube` objects on first
+    use, while its length needs none of them."""
+
+    __slots__ = ("_graph", "_masks", "_tubes")
+
+    def __init__(self, graph, masks):
+        self._graph, self._masks, self._tubes = graph, masks, None
+
+    def __len__(self):
+        return len(self._masks)
+
+    def __getitem__(self, i):
+        if self._tubes is None:
+            g = self._graph
+            ground, nodes = g.ground_members(), (1 << len(g.nodes)) - 1
+            self._tubes = tuple(
+                Tube(g, [ground[j] for j in _bits(m & nodes)],
+                     [ground[j] for j in _bits(m & ~nodes)], check=False)
+                for m in self._masks
+            )
+        return self._tubes[i]
+
+    def index(self, tube):
+        return self[:].index(tube)
+
+
 def enumerate_tubes(graph, budget=None):
     """All tubes of the graph, sorted by node set then label set.
 
     A whole connected component counts as a tube whenever the graph has
     other components; only the entire graph is excluded.
     """
-    budget = FaceBudget.ensure(budget)
-    out = []
-    # each nonempty node subset of a component is charged, connected or not
-    for comp in graph.component_nodesets():
-        budget.charge((1 << len(comp)) - 1)
-    full = (1 << len(graph.nodes)) - 1
-    for sub in _connected_sets(graph._neighbour_masks, full):
-        nodes = frozenset(graph.nodes[i] for i in _bits(sub))
-        internal = [
-            b for b in graph.bundles if b.u in nodes and b.v in nodes
-        ]
-        whole_graph = sub == full
-        if not internal:
-            if whole_graph:
-                continue
-            out.append(Tube(graph, nodes, (), check=False))
-            continue
-        choices = []
-        for b in internal:
-            subsets = []
-            for r in range(1, len(b.labels) + 1):
-                subsets.extend(itertools.combinations(b.labels, r))
-            choices.append(subsets)
-        for picked in itertools.product(*choices):
-            budget.charge()
-            labels = frozenset(itertools.chain.from_iterable(picked))
-            if whole_graph and all(
-                len(part) == len(b.labels) for part, b in zip(picked, internal)
-            ):
-                continue
-            out.append(Tube(graph, nodes, labels, check=False))
-    out.sort(key=Tube.sort_key)
-    return tuple(out)
+    return _Tubes(graph, _tube_masks(graph, budget))[:]
+
+
+def _chunk_tables(cols, join, empty):
+    """Per chunk of four entries of ``cols``, the ``join`` of the entries
+    picked by each 4-bit value (``empty`` for none): a join over a bitmask
+    of entries is one lookup per chunk."""
+    tables = []
+    for c in range(0, len(cols), 4):
+        row = [empty] * 16
+        for v in range(1, 16):
+            low = v & -v
+            j = c + low.bit_length() - 1
+            row[v] = join(row[v ^ low], cols[j]) if j < len(cols) else row[v ^ low]
+        tables.append(row)
+    return tables
 
 
 class TubeSystem:
@@ -179,52 +235,50 @@ class TubeSystem:
     whose representation holds it) and the tubing complex, whose adjacency
     is compatibility.
 
-    Everything downstream (parity complexes, tubing complexes, normals)
-    reads from one of these instead of recomputing pair relations.  Every
-    complex it builds shares its tubing complex's masks: bit i is tube i.
+    The masks come from the connected-set walk, the compatibility masks
+    from per-chunk tables over the columns, and ``tubes`` builds its
+    :class:`Tube` objects only when one is read.  Parity complexes, tubing
+    complexes and normals read from one of these instead of recomputing
+    pair relations; every complex it builds shares its tubing complex's
+    masks: bit i is tube i.
     """
 
-    __slots__ = (
-        "graph",
-        "tubes",
-        "repr_masks",
-        "columns",
-        "separated",
-        "_complex",
-    )
+    __slots__ = ("graph", "tubes", "repr_masks", "columns", "separated", "_complex")
 
     def __init__(self, graph, budget=None):
         self.graph = graph
-        self.tubes = enumerate_tubes(graph, budget)
-        self.repr_masks = [self.member_mask(t.representation()) for t in self.tubes]
+        self.repr_masks = masks = _tube_masks(graph, budget)
+        self.tubes = _Tubes(graph, masks)
         self.columns = cols = [0] * len(graph.ground_members())
-        for j, rm in enumerate(self.repr_masks):
+        for j, rm in enumerate(masks):
             for i in _bits(rm):
                 cols[i] |= 1 << j
-        closed = [nbr | 1 << i for i, nbr in enumerate(graph._neighbour_masks)]
-        full = (1 << len(self.tubes)) - 1
-        ground = (1 << len(cols)) - 1
-        nodes = (1 << len(closed)) - 1
+        # per node, the tubes meeting its closed neighbourhood (0 for a label)
+        touching = [0] * len(cols)
+        for i, nbr in enumerate(graph._neighbour_masks):
+            for w in _bits(nbr | 1 << i):
+                touching[i] |= cols[w]
+        full, ground = (1 << len(masks)) - 1, (1 << len(cols)) - 1
+        tables = list(zip(
+            _chunk_tables(cols, int.__and__, full),
+            _chunk_tables(cols, int.__or__, 0),
+            _chunk_tables(touching, int.__or__, 0),
+        ))
         # tube i is compatible with the tubes holding every member of its
         # representation, with those holding no other member, and with
         # those avoiding the closed neighbourhood of its nodes (separated)
-        self.separated = []
-        compat = []
-        for i, rm in enumerate(self.repr_masks):
-            sup = full
-            for m in _bits(rm):
-                sup &= cols[m]
-            beyond = 0
-            for m in _bits(ground & ~rm):
-                beyond |= cols[m]
-            near = reach = 0
-            for n in _bits(rm & nodes):
-                reach |= closed[n]
-            for n in _bits(reach):
-                near |= cols[n]
+        self.separated, compat = [], []
+        for i, rm in enumerate(masks):
+            sup, beyond, near, out = full, 0, 0, ground ^ rm
+            for every, some, touch in tables:
+                sup &= every[rm & 15]
+                beyond |= some[out & 15]
+                near |= touch[rm & 15]
+                rm >>= 4
+                out >>= 4
             self.separated.append(full & ~near)
             compat.append((sup | full & ~(beyond & near)) ^ 1 << i)
-        self._complex = SimplicialComplex(self.tubes, compat)
+        self._complex = SimplicialComplex._universe(self.tubes, compat)
 
     def member_mask(self, members):
         index = self.graph.ground_index()

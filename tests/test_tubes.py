@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubings import (
+    Collection,
     FaceBudget,
     FaceBudgetExceededError,
     GraphError,
@@ -14,10 +16,14 @@ from tubings import (
     Tube,
     TubeSystem,
     compatible,
+    cross_check,
+    delzant_check,
     enumerate_tubes,
     even_collections,
     is_tubing,
     odd_tube_complex,
+    poincare_brute,
+    poincare_reduced,
     tubing_complex,
 )
 from tubings.graphs import _connected_sets, _split
@@ -346,3 +352,70 @@ def test_bit_i_of_every_odd_complex_is_tube_i(system):
         }
         assert faces == set(k.maximal_faces())
         assert all(is_tubing(f) and set(f) <= set(k.vertices) for f in faces)
+
+
+def test_odd_tube_complex_rejects_a_system_of_another_graph():
+    p3 = Pseudograph([1, 2, 3], [(1, 2), (2, 3)])
+    p4 = Pseudograph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
+    c = Collection.of(p3, [1, 2])
+    with pytest.raises(HostMismatchError):
+        odd_tube_complex(p3, c, system=TubeSystem(p4))
+    # an equal graph built apart is the same host
+    same = odd_tube_complex(p3, c, system=TubeSystem(Pseudograph([1, 2, 3], [(2, 3), (1, 2)])))
+    assert same.vertices == odd_tube_complex(p3, c).vertices
+
+
+def test_no_tube_object_is_built_where_no_tube_is_named(monkeypatch):
+    """The routes, the checks that read no tube, the odd complexes, the
+    tube count and a passing Delzant check work on masks alone."""
+    built = []
+    init = Tube.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def graph():  # a new object each time, so no route reads a kept result
+        return Pseudograph([1, 2, 3, 4], [(1, 3), (1, 2, "a"), (1, 2, "b"), (2, 4, "c"), (2, 4, "d")])
+
+    monkeypatch.setattr(Tube, "__init__", spy)
+    assert poincare_brute(graph()) == poincare_reduced(graph())
+    assert cross_check(graph(), checks=("routes", "zero", "even-star")).ok
+    g = graph()
+    system = TubeSystem(g)
+    assert len(system.tubes) == 31
+    for c in even_collections(g):
+        odd_tube_complex(g, c, system=system).betti_reduced()
+    assert delzant_check(g).ok
+    assert built == []
+    # the first tube read builds every tube, once
+    assert system.tubes[0] is system.tubes[0] and len(built) == 31
+
+
+def charged_by_definition(graph):
+    """Faces a tube enumeration charges, counted from the definition: each
+    nonempty node subset of each component, and each choice of a nonempty
+    label subset per bundle inside a connected node set with a bundle."""
+    total = sum(2 ** len(c) - 1 for c in graph.component_nodesets())
+    for r in range(1, len(graph.nodes) + 1):
+        for sub in itertools.combinations(graph.nodes, r):
+            nodes = frozenset(sub)
+            inside = [b for b in graph.bundles if b.u in nodes and b.v in nodes]
+            if inside and connected_by_search(graph, nodes):
+                total += math.prod(2 ** len(b.labels) - 1 for b in inside)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(pseudographs())
+def test_system_masks_are_the_enumerated_tubes_in_order(g):
+    """Disconnected graphs included: the system's masks are the
+    representations of ``enumerate_tubes``, whose order is ``sort_key``'s,
+    and both charge the faces the definition counts."""
+    built, enumerated = FaceBudget(), FaceBudget()
+    system = TubeSystem(g, built)
+    tubes = enumerate_tubes(g, enumerated)
+    assert built.used == enumerated.used == charged_by_definition(g)
+    assert list(tubes) == sorted(tubes, key=Tube.sort_key)
+    assert system.repr_masks == [system.member_mask(t.representation()) for t in tubes]
+    assert list(system.tubes) == list(tubes)
