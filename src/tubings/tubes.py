@@ -163,17 +163,18 @@ def _tube_masks(graph, budget=None):
     full, out = (1 << len(graph.nodes)) - 1, []
     for sub in sorted(_connected_sets(graph._neighbour_masks, full), key=_order_key):
         inside = [subs for ends, subs in picks if sub & ends == ends]
+        if not inside:
+            out.append(sub)
+            continue
         reps, size = [sub], 1
         for subs in inside:
             size *= len(subs)
-        if inside:
-            budget.charge(size)  # before the choices are built
-            for subs in inside:
-                reps = [r | s for r in reps for s in subs]
-            reps.sort(key=_order_key)  # their node characters agree
-        if sub == full:  # the whole graph with every label
-            reps.remove((1 << len(graph.ground_members())) - 1)
-        out += reps
+        budget.charge(size)  # before the choices are built
+        for subs in inside:
+            reps = [r | s for r in reps for s in subs]
+        out += sorted(reps, key=_order_key)  # their node characters agree
+    if graph.is_connected():  # the whole graph, every label taken, is no tube
+        out.remove((1 << len(graph.ground_members())) - 1)
     return out
 
 
@@ -214,18 +215,17 @@ def enumerate_tubes(graph, budget=None):
     return _Tubes(graph, _tube_masks(graph, budget))[:]
 
 
-def _chunk_tables(cols, join, empty):
-    """Per chunk of four entries of ``cols``, the ``join`` of the entries
-    picked by each 4-bit value (``empty`` for none): a join over a bitmask
-    of entries is one lookup per chunk."""
+def _chunk_tables(cols):
+    """Per chunk of four entries of ``cols``, the OR of the entries picked by
+    each 4-bit value, so that an OR over a bitmask of entries is one lookup
+    per chunk.  A last chunk of k < 4 entries repeats its 2^k ORs, as its
+    missing entries add nothing."""
     tables = []
     for c in range(0, len(cols), 4):
-        row = [empty] * 16
-        for v in range(1, 16):
-            low = v & -v
-            j = c + low.bit_length() - 1
-            row[v] = join(row[v ^ low], cols[j]) if j < len(cols) else row[v ^ low]
-        tables.append(row)
+        row = [0]
+        for col in cols[c:c + 4]:
+            row += [x | col for x in row]
+        tables.append(row * (16 // len(row)))
     return tables
 
 
@@ -260,24 +260,25 @@ class TubeSystem:
                 touching[i] |= cols[w]
         full, ground = (1 << len(masks)) - 1, (1 << len(cols)) - 1
         tables = list(zip(
-            _chunk_tables(cols, int.__and__, full),
-            _chunk_tables(cols, int.__or__, 0),
-            _chunk_tables(touching, int.__or__, 0),
+            _chunk_tables([full ^ col for col in cols]),
+            _chunk_tables(cols),
+            _chunk_tables(touching),
         ))
         # tube i is compatible with the tubes holding every member of its
-        # representation, with those holding no other member, and with
-        # those avoiding the closed neighbourhood of its nodes (separated)
+        # representation (lacking none), with those holding no other
+        # member, and with those avoiding the closed neighbourhood of its
+        # nodes (separated)
         self.separated, compat = [], []
         for i, rm in enumerate(masks):
-            sup, beyond, near, out = full, 0, 0, ground ^ rm
-            for every, some, touch in tables:
-                sup &= every[rm & 15]
+            lacking, beyond, near, out = 0, 0, 0, ground ^ rm
+            for lack, some, touch in tables:
+                lacking |= lack[rm & 15]
                 beyond |= some[out & 15]
                 near |= touch[rm & 15]
                 rm >>= 4
                 out >>= 4
             self.separated.append(full & ~near)
-            compat.append((sup | full & ~(beyond & near)) ^ 1 << i)
+            compat.append(full & ~(lacking & beyond & near) ^ 1 << i)
         self._complex = SimplicialComplex._universe(self.tubes, compat)
 
     def member_mask(self, members):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubings import (
@@ -408,6 +408,7 @@ def charged_by_definition(graph):
 
 @settings(max_examples=150, deadline=None)
 @given(pseudographs())
+@example(Pseudograph())
 def test_system_masks_are_the_enumerated_tubes_in_order(g):
     """Disconnected graphs included: the system's masks are the
     representations of ``enumerate_tubes``, whose order is ``sort_key``'s,
