@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from ._intlinalg import gf2_basis, rank_int
 from .errors import FaceBudgetConfigError, FaceBudgetExceededError, VertexClashError
-from .graphs import _split
+from .graphs import _bits, _split
 
 DEFAULT_FACE_BUDGET = 1_000_000
 _BUDGET_ENV = "TUBINGS_FACE_BUDGET"
@@ -87,6 +87,13 @@ class FaceBudget:
         if isinstance(budget, FaceBudget):
             return budget
         return cls(budget)
+
+
+def _require_count(value, name, least=1):
+    """``value`` if it is an int, not a bool, of at least ``least``."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
+    return value
 
 
 class IntPolynomial:
@@ -216,13 +223,6 @@ class ShellingReport:
     status: str  # 'yes', 'no' or 'unknown'
     order: tuple | None
     expansions: int
-
-
-def _bits(mask):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def _clique_levels(adj, alive, budget):
@@ -469,6 +469,7 @@ class SimplicialComplex:
         Returns a :class:`ShellingReport`; status is ``'unknown'`` when the
         expansion budget runs out before the search finishes.
         """
+        _require_count(max_expansions, "max_expansions")
         facets = list(self.maximal_face_masks(budget))
         faces = [self._mask_to_face(m) for m in facets]
         if len(facets) <= 1:

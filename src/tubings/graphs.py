@@ -10,6 +10,14 @@ bundle edges.  A :class:`Collection` is a subset of the ground set; several
 derived constructions (touched subgraphs, reduced graphs, parity complexes)
 are driven by collections.
 
+Every subset of the ground set the package computes with (a tube, a
+collection, a designation's pair) is a *ground bitmask*: bit i stands for
+the i-th member in ground order, nodes ascending and then labels sorted.
+This module alone knows that order.  ``Pseudograph._mask`` encodes members
+as a bitmask and ``Pseudograph._members`` decodes one, in ground order;
+:func:`_pairing` hands out its pairs as bit indices, and the bit walks
+(:func:`_bits`, :func:`_split`, :func:`_connected_sets`) live here too.
+
 Node ids are positive integers.  Labels start with a letter and continue
 with letters or digits, so a collection token is a node exactly when it is
 numeric.
@@ -65,11 +73,8 @@ class Pseudograph:
         "_nodes",
         "_edges",
         "_bundles",
-        "_bundle_by_label",
-        "_adjacency",
-        "_pairs",
         "_ground",
-        "_ground_index",
+        "_ground_index",  # member: its bit in a ground bitmask
         "_key",
         "_hash",
         "_neighbour_masks",  # per node, the node bitmask of its neighbours
@@ -123,37 +128,36 @@ class Pseudograph:
         self._nodes = tuple(node_list)
         self._edges = tuple(sorted(norm, key=lambda e: (e[0], e[1], e[2] or "")))
         self._bundles = tuple(bundles)
-        self._bundle_by_label = {
-            lab: b for b in bundles for lab in b.labels
-        }
-        adjacency = {n: set() for n in node_list}
-        for u, v, _ in norm:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        self._adjacency = {n: frozenset(s) for n, s in adjacency.items()}
-        self._pairs = frozenset(by_pair)
-        labels_sorted = tuple(sorted(self._bundle_by_label))
-        self._ground = self._nodes + labels_sorted
+        self._ground = self._nodes + tuple(sorted(lab for b in bundles for lab in b.labels))
         self._ground_index = {m: i for i, m in enumerate(self._ground)}
-        self._key = (
-            frozenset(self._nodes),
-            self._pairs,
-            frozenset((u, v, lab) for u, v, lab in norm if lab is not None),
-        )
+        self._key = (self._nodes, self._edges)  # both canonically sorted
         self._hash = hash(self._key)
-        index = self._ground_index
-        self._neighbour_masks = tuple(
-            sum(1 << index[w] for w in self._adjacency[n]) for n in node_list
-        )
-        self._bundle_masks = tuple(
-            (1 << index[b.u] | 1 << index[b.v], sum(1 << index[x] for x in b.labels))
-            for b in bundles
-        )
+        near = {n: [] for n in node_list}
+        for u, v in by_pair:
+            near[u].append(v)
+            near[v].append(u)
+        self._neighbour_masks = tuple(self._mask(near[n]) for n in node_list)
+        self._bundle_masks = tuple((self._mask((b.u, b.v)), self._mask(b.labels)) for b in bundles)
         self._components = tuple(
-            frozenset(n for i, n in enumerate(node_list) if comp >> i & 1)
+            frozenset(self._members(comp))
             for comp in _split(self._neighbour_masks, (1 << len(node_list)) - 1)
         )
         self._poincare = None
+
+    # -- ground bitmasks --------------------------------------------------
+
+    def _mask(self, members):
+        """The ground bitmask of ``members``: bit i for the i-th member of
+        :meth:`ground_members`."""
+        index, mask = self._ground_index, 0
+        for m in members:
+            mask |= 1 << index[m]
+        return mask
+
+    def _members(self, mask):
+        """The members of the ground bitmask ``mask``, in ground order."""
+        ground = self._ground
+        return [ground[i] for i in _bits(mask)]
 
     # -- basic structure ------------------------------------------------
 
@@ -175,10 +179,10 @@ class Pseudograph:
         return self._ground[len(self._nodes):]
 
     def bundle_of(self, label):
-        try:
-            return self._bundle_by_label[label]
-        except KeyError:
-            raise UnknownMemberError(f"{label!r} is not a bundle-edge label") from None
+        for b in self._bundles:
+            if label in b.labels:
+                return b
+        raise UnknownMemberError(f"{label!r} is not a bundle-edge label")
 
     def ground_members(self):
         """Nodes (ascending) followed by bundle labels (lexicographic)."""
@@ -190,18 +194,17 @@ class Pseudograph:
     @property
     def simple_pairs(self):
         """Adjacent endpoint pairs (u < v), regardless of multiplicity."""
-        return self._pairs
+        return frozenset(e[:2] for e in self._edges)
 
     def neighbors(self, node):
-        try:
-            return self._adjacency[node]
-        except KeyError:
-            raise UnknownNodeError(f"node {node} is not in the graph") from None
+        i = self._ground_index.get(node, len(self._nodes))
+        if i >= len(self._nodes):
+            raise UnknownNodeError(f"node {node} is not in the graph")
+        return frozenset(self._members(self._neighbour_masks[i]))
 
     def adjacent(self, u, v):
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._pairs
+        i, j = (self._ground_index.get(x, -1) for x in (u, v))
+        return 0 <= i < len(self._nodes) and j >= 0 and self._neighbour_masks[i] >> j & 1 == 1
 
     def edge_labels(self):
         """Every label in the graph, bundle or not."""
@@ -220,7 +223,7 @@ class Pseudograph:
 
     def underlying_simple_graph(self):
         """Same nodes, one unlabelled edge per adjacent pair (idempotent)."""
-        return Pseudograph(self._nodes, [(u, v) for u, v in sorted(self._pairs)])
+        return Pseudograph(self._nodes, sorted(self.simple_pairs))
 
     def induced_subgraph(self, node_subset):
         subset = frozenset(node_subset)
@@ -295,12 +298,13 @@ class Collection:
         nodes = set()
         labels = set()
         for m in members:
+            # nodes are ints and labels strs, so a member's type tells which
             if isinstance(m, int) and not isinstance(m, bool):
-                if m not in graph._adjacency:
+                if m not in graph._ground_index:
                     raise UnknownMemberError(f"node {m} is not in the graph")
                 nodes.add(m)
             elif isinstance(m, str):
-                if m in graph._bundle_by_label:
+                if m in graph._ground_index:
                     labels.add(m)
                 elif m in graph.edge_labels():
                     raise NotInAnyBundleError(f"label {m!r} belongs to a non-bundle edge")
@@ -324,7 +328,8 @@ class Collection:
         return not self.nodes and not self.labels
 
     def issubset_of(self, graph):
-        return graph._adjacency.keys() >= self.nodes and graph._bundle_by_label.keys() >= self.labels
+        members = graph._ground_index.keys()
+        return members >= self.nodes and members >= self.labels
 
     def __repr__(self):
         items = sorted(map(str, self.nodes)) + sorted(self.labels)
@@ -386,24 +391,26 @@ class Designation:
 
 
 def _pairing(graph, designation=None):
-    """The designation's pairing: (member, partner) for each ground member
-    outside it, in ground order.  A node's partner is the designated node
-    of its component, a label's the designated label of its bundle.  The
-    even collections, the characteristic matrix, the normal generator
-    matrix and every facet normal read these pairs."""
+    """The designation's pairing: (member, partner) as ground bit indices
+    for each ground member outside it, in ground order.  A node's partner
+    is the designated node of its component, a label's the designated
+    label of its bundle.  The even collections, the characteristic matrix,
+    the normal generator matrix and every facet normal read these pairs."""
     d = Designation.resolve(graph, designation)
-    designated = d.nodes | d.labels
-    partner = {}
+    designated, index = d.nodes | d.labels, graph._ground_index
+    partner = [0] * len(index)
     for part in (*graph.component_nodesets(), *(b.labels for b in graph.bundles)):
         (last,) = designated.intersection(part)
-        partner.update(dict.fromkeys(part, last))
-    return tuple((m, partner[m]) for m in graph.ground_members() if partner[m] != m)
+        for m in part:
+            partner[index[m]] = index[last]
+    return tuple((m, p) for m, p in enumerate(partner) if p != m)
 
 
 def restricted_ground(graph, designation=None):
     """Ground members minus the designated node of each component and the
     designated label of each bundle, in canonical order."""
-    return tuple(m for m, _ in _pairing(graph, designation))
+    ground = graph.ground_members()
+    return tuple(ground[m] for m, _ in _pairing(graph, designation))
 
 
 def touched_nodes(graph, collection):
@@ -459,6 +466,14 @@ def _reduction_keys(graph):
             for k in range(len(inside) + 1):
                 for collapsed in itertools.combinations(inside, k):
                     yield nodes, collapsed
+
+
+def _bits(mask):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
 
 
 def _split(nbr, mask):
@@ -535,7 +550,7 @@ def connected_reduction_classes(graph):
         choices = range(len(inside) + 1 - (sub.bit_count() & 1))
         if not choices:
             continue
-        members = tuple(n for i, n in enumerate(nodes) if sub >> i & 1)
+        members = tuple(graph._members(sub))
         for k in choices:
             for collapsed in itertools.combinations(inside, k):
                 items.append(((sub, members, collapsed), _multiplicities(graph, members, collapsed)))

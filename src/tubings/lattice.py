@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._intlinalg import det_bareiss, gf2_rank
-from .complexes import FaceBudget, _bits
+from .complexes import FaceBudget
 from .errors import DisconnectedError, HostMismatchError
-from .graphs import _pairing
+from .graphs import _bits, _pairing
 from .parity import _odd_tubes, _require_subset
 from .tubes import TubeSystem
 
@@ -82,8 +82,8 @@ def normal_generator_matrix(graph, designation=None):
     _require_connected(graph)
     pairs = _pairing(graph, designation)
     cols = graph.ground_members()
-    entries = [[(c == p) - (c == m) for c in cols] for m, p in pairs]
-    return LabeledMatrix([m for m, _ in pairs], cols, entries)
+    entries = [[(j == p) - (j == m) for j in range(len(cols))] for m, p in pairs]
+    return LabeledMatrix([cols[m] for m, _ in pairs], cols, entries)
 
 
 def _normal(pairs, mask):
@@ -98,9 +98,7 @@ def facet_normal(graph, tube, designation=None):
     if tube.host != graph:
         raise HostMismatchError("tube belongs to a different graph")
     _require_connected(graph)
-    index = graph.ground_index()
-    pairs = [(index[m], index[p]) for m, p in _pairing(graph, designation)]
-    return _normal(pairs, sum(1 << index[x] for x in tube.representation()))
+    return _normal(_pairing(graph, designation), graph._mask(tube.representation()))
 
 
 def _tube_matrix(system, row_labels, masks):
@@ -124,8 +122,7 @@ def _characteristic_row_masks(system, pairs):
     of ``system``: per (member, partner) pair, the tubes holding exactly
     one of the two, the parity map of that row of
     :class:`~tubings.parity._EvenFamily`."""
-    index = system.graph.ground_index()
-    return [system.columns[index[m]] ^ system.columns[index[p]] for m, p in pairs]
+    return [system.columns[m] ^ system.columns[p] for m, p in pairs]
 
 
 def characteristic_matrix(graph, designation=None, budget=None):
@@ -133,7 +130,8 @@ def characteristic_matrix(graph, designation=None, budget=None):
     _require_connected(graph)
     system = TubeSystem(graph, budget)
     pairs = _pairing(graph, designation)
-    return _tube_matrix(system, [m for m, _ in pairs], _characteristic_row_masks(system, pairs))
+    ground = graph.ground_members()
+    return _tube_matrix(system, [ground[m] for m, _ in pairs], _characteristic_row_masks(system, pairs))
 
 
 def characteristic_rank(graph, budget=None):
@@ -147,9 +145,9 @@ def characteristic_rank(graph, budget=None):
 def collection_parity_vector(graph, collection, budget=None):
     """Per-tube meet parity with the collection, in tube order."""
     _require_connected(graph)
-    _require_subset(graph, collection)
+    members = _require_subset(graph, collection)
     system = TubeSystem(graph, budget)
-    odd = _odd_tubes(system, system.collection_mask(collection))
+    odd = _odd_tubes(system, members)
     return tuple(odd >> j & 1 for j in range(len(system.repr_masks)))
 
 
@@ -180,9 +178,7 @@ def delzant_check(graph, budget=None):
     budget = FaceBudget.ensure(budget)
     system = TubeSystem(graph, budget)
     pairs = _pairing(graph)
-    index = graph.ground_index()
-    at = [(index[m], index[p]) for m, p in pairs]
-    normals = [_normal(at, rm) for rm in system.repr_masks]
+    normals = [_normal(pairs, rm) for rm in system.repr_masks]
     dim = polytope_dimension(graph)
     failures = []
     sizes = set()

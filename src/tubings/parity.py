@@ -24,10 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 
-from .complexes import FaceBudget, _bits
+from .complexes import FaceBudget, _require_count
 from .errors import HostMismatchError, NotEvenError
 from .graphs import (
     Collection,
+    _bits,
     _pairing,
     _reduction_key,
     _split,
@@ -38,30 +39,28 @@ from .tubes import Tube, TubeSystem, compatible
 
 
 def _require_subset(graph, collection):
+    """The ground bitmask of ``collection``, which must be a subset of the
+    graph's ground set."""
     if not collection.issubset_of(graph):
         raise HostMismatchError(
             f"{collection!r} is not a subset of the graph's ground set"
         )
+    return graph._mask(collection.members())
 
 
 def is_even(graph, collection):
     """Even node count per component and even label count per bundle."""
-    _require_subset(graph, collection)
-    for comp in graph.component_nodesets():
-        if len(collection.nodes & comp) % 2:
-            return False
-    for b in graph.bundles:
-        if len(collection.labels & set(b.labels)) % 2:
-            return False
-    return True
+    members = _require_subset(graph, collection)
+    if any(len(collection.nodes & comp) % 2 for comp in graph.component_nodesets()):
+        return False
+    return not any((members & labels).bit_count() & 1 for _, labels in graph._bundle_masks)
 
 
 def meet_parity(tube, collection):
     """'odd' or 'even' size of the tube representation's overlap with the
     collection."""
-    _require_subset(tube.host, collection)
-    overlap = len(tube.representation() & collection.members())
-    return "odd" if overlap % 2 else "even"
+    overlap = _require_subset(tube.host, collection) & tube.host._mask(tube.representation())
+    return "odd" if overlap.bit_count() % 2 else "even"
 
 
 class _EvenFamily:
@@ -71,8 +70,7 @@ class _EvenFamily:
 
     def __init__(self, graph, designation=None):
         self.graph = graph
-        index = graph.ground_index()
-        self.rows = [1 << index[m] | 1 << index[p] for m, p in _pairing(graph, designation)]
+        self.rows = [1 << m | 1 << p for m, p in _pairing(graph, designation)]
 
     def count(self):
         return 1 << len(self.rows)
@@ -84,10 +82,9 @@ class _EvenFamily:
         return mask
 
     def collection_at(self, index):
-        if not 0 <= index < self.count():
+        if _require_count(index, "even-collection index", 0) >= self.count():
             raise IndexError(f"even-collection index {index} out of range")
-        ground = self.graph.ground_members()
-        members = [ground[i] for i in _bits(self.mask_at(index))]
+        members = self.graph._members(self.mask_at(index))
         return Collection(
             frozenset(m for m in members if isinstance(m, int)),
             frozenset(m for m in members if isinstance(m, str)),
@@ -124,20 +121,20 @@ def _odd_tubes(system, members):
 def odd_tube_complex(graph, collection, budget=None, system=None):
     """Subcomplex of the tubing complex on tubes meeting the collection
     oddly."""
-    _require_subset(graph, collection)
+    members = _require_subset(graph, collection)
     if system is None:
         system = TubeSystem(graph, budget)
     elif system.graph != graph:
         raise HostMismatchError("the tube system belongs to a different graph")
-    return system.complex_on(_odd_tubes(system, system.collection_mask(collection)))
+    return system.complex_on(_odd_tubes(system, members))
 
 
 def even_tube_complex(graph, collection, budget=None):
     """Subcomplex of the tubing complex on tubes meeting the collection
     evenly."""
-    _require_subset(graph, collection)
+    members = _require_subset(graph, collection)
     system = TubeSystem(graph, budget)
-    odd = _odd_tubes(system, system.collection_mask(collection))
+    odd = _odd_tubes(system, members)
     return system.complex_on((1 << len(system.repr_masks)) - 1 & ~odd)
 
 
@@ -153,9 +150,9 @@ def _confined_tubes(system, members):
 
 def confined_odd_complex(graph, collection, budget=None):
     """Odd subcomplex restricted to tubes inside the touched node set."""
-    _require_subset(graph, collection)
+    members = _require_subset(graph, collection)
     system = TubeSystem(graph, budget)
-    return system.complex_on(_confined_tubes(system, system.collection_mask(collection)))
+    return system.complex_on(_confined_tubes(system, members))
 
 
 def _saturated_tubes(system, members):
@@ -179,9 +176,9 @@ def saturated_odd_complex(graph, collection, budget=None):
     A tube is dropped when both endpoints of a bundle the collection
     misses lie inside it but some of that bundle's edges are absent.
     """
-    _require_subset(graph, collection)
+    members = _require_subset(graph, collection)
     system = TubeSystem(graph, budget)
-    return system.complex_on(_saturated_tubes(system, system.collection_mask(collection)))
+    return system.complex_on(_saturated_tubes(system, members))
 
 
 # -- structure of even collections ------------------------------------------
@@ -205,8 +202,7 @@ def components_all_even(graph, collection):
     of the collection.  Demands an even collection to begin with."""
     if not is_even(graph, collection):
         raise NotEvenError(f"{collection!r} is not an even collection")
-    index = graph.ground_index()
-    members = sum(1 << index[m] for m in collection.members())
+    members = graph._mask(collection.members())
     shares = _shares(graph, *_reduction_key(graph, members), members)
     return not any(s.bit_count() & 1 for s in shares)
 
@@ -217,20 +213,14 @@ def is_admissible(graph, collection):
     Returns False (rather than raising) when the collection is not even a
     subset of the graph's ground set.
     """
-    if not collection.issubset_of(graph):
+    if not collection.issubset_of(graph) or not is_even(graph, collection):
         return False
-    if not is_even(graph, collection):
-        return False
-    bundle_nodes = set()
-    for b in graph.bundles:
-        bundle_nodes.add(b.u)
-        bundle_nodes.add(b.v)
-        if not (collection.labels & set(b.labels)):
+    members, free = graph._mask(collection.members()), (1 << len(graph.nodes)) - 1
+    for ends, labels in graph._bundle_masks:
+        if not members & labels:
             return False
-    for n in graph.nodes:
-        if n not in bundle_nodes and n not in collection.nodes:
-            return False
-    return True
+        free &= ~ends
+    return members & free == free
 
 
 def admissible_collections(graph, designation=None):
@@ -320,12 +310,12 @@ def inflation_matches(graph, collection, budget=None):
 def _inflation_matches(system, gamma_system, collection):
     """:func:`inflation_matches` on the tube systems of the graph and of
     the collection's reduced graph."""
-    odd = _odd_tubes(gamma_system, gamma_system.collection_mask(collection))
+    odd = _odd_tubes(gamma_system, gamma_system.graph._mask(collection.members()))
     gamma_odd = [gamma_system.tubes[i] for i in _bits(odd)]
     inflated = [inflate_tube(t, system.graph, collection) for t in gamma_odd]
     if len(set(inflated)) != len(inflated):
         return False
-    saturated = _saturated_tubes(system, system.collection_mask(collection))
+    saturated = _saturated_tubes(system, system.graph._mask(collection.members()))
     saturated = {system.tubes[i] for i in _bits(saturated)}
     if set(inflated) != saturated:
         return False

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from operator import or_
 
-from .complexes import FaceBudget, IntPolynomial
+from .complexes import FaceBudget, IntPolynomial, _require_count
 from .graphs import (
     _reduction,
     _reduction_key,
@@ -178,12 +178,14 @@ def cross_check(
     tube system's factor memo; the reduced route it compares with builds
     its own systems, and so its own memos.
     """
+    if isinstance(checks, str):
+        raise ValueError(f"checks must be a collection of check names, not the string {checks!r}")
     chosen = set(ALL_CHECKS if checks is None else checks)
     bad = chosen - set(ALL_CHECKS)
     if bad:
         raise ValueError(f"unknown checks: {sorted(bad)}")
-    if max_collections is not None and max_collections < 1:
-        raise ValueError(f"max_collections must be at least 1, got {max_collections}")
+    if max_collections is not None:
+        _require_count(max_collections, "max_collections")
     budget = FaceBudget.ensure(budget)
     # even-star and recovery read no tube
     system = TubeSystem(graph, budget) if chosen - {"even-star", "recovery"} else None

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import FaceBudget, SimplicialComplex, _bits, _clique_levels
+from .complexes import FaceBudget, SimplicialComplex, _clique_levels
+from .graphs import _bits
 from .parity import _odd_tubes, _require_subset
 from .tubes import TubeSystem
 
@@ -114,10 +115,10 @@ def parity_subgraph_poset(
     """Poset of separated unions of tubes of the given meet parity."""
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', not {parity!r}")
-    _require_subset(graph, collection)
+    members = _require_subset(graph, collection)
     budget = FaceBudget.ensure(budget)
     system = TubeSystem(graph, budget)
-    alive = _odd_tubes(system, system.collection_mask(collection))
+    alive = _odd_tubes(system, members)
     if parity == "even":
         alive ^= (1 << len(system.repr_masks)) - 1
 

@@ -18,9 +18,9 @@ tube is read.
 
 from __future__ import annotations
 
-from .complexes import FaceBudget, SimplicialComplex, _bits
+from .complexes import FaceBudget, SimplicialComplex
 from .errors import GraphError, HostMismatchError
-from .graphs import _connected_sets, _split
+from .graphs import _bits, _connected_sets, _split
 
 
 class Tube:
@@ -44,8 +44,7 @@ class Tube:
         unknown = self._nodes - set(host.nodes)
         if unknown:
             raise GraphError(f"tube uses unknown nodes {sorted(unknown)}")
-        index = host.ground_index()
-        if len(_split(host._neighbour_masks, sum(1 << index[n] for n in self._nodes))) != 1:
+        if len(_split(host._neighbour_masks, host._mask(self._nodes))) != 1:
             raise GraphError(f"tube nodes {sorted(self._nodes)} are not connected")
         internal = set()
         for b in host.bundles:
@@ -194,10 +193,9 @@ class _Tubes:
     def __getitem__(self, i):
         if self._tubes is None:
             g = self._graph
-            ground, nodes = g.ground_members(), (1 << len(g.nodes)) - 1
+            nodes = (1 << len(g.nodes)) - 1
             self._tubes = tuple(
-                Tube(g, [ground[j] for j in _bits(m & nodes)],
-                     [ground[j] for j in _bits(m & ~nodes)], check=False)
+                Tube(g, g._members(m & nodes), g._members(m & ~nodes), check=False)
                 for m in self._masks
             )
         return self._tubes[i]
@@ -280,16 +278,6 @@ class TubeSystem:
             self.separated.append(full & ~near)
             compat.append(full & ~(lacking & beyond & near) ^ 1 << i)
         self._complex = SimplicialComplex._universe(self.tubes, compat)
-
-    def member_mask(self, members):
-        index = self.graph.ground_index()
-        m = 0
-        for x in members:
-            m |= 1 << index[x]
-        return m
-
-    def collection_mask(self, collection):
-        return self.member_mask(collection.members())
 
     def complex_on(self, mask):
         """Full subcomplex of the tubing complex on the tubes of the bitmask

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from tubings import (
     Collection,
@@ -11,6 +13,7 @@ from tubings import (
     NotInAnyBundleError,
     Pseudograph,
     UnknownMemberError,
+    UnknownNodeError,
     UnknownNodeInEdgeError,
     UnlabelledBundleEdgeError,
     enumerate_reductions,
@@ -19,6 +22,8 @@ from tubings import (
     touched_nodes,
     touched_subgraph,
 )
+from tubings.graphs import _pairing
+from test_symmetry import pseudographs
 
 
 def test_rejects_loops():
@@ -89,6 +94,67 @@ def test_edge_insertion_order_is_irrelevant():
     assert g1 == g2
     assert hash(g1) == hash(g2)
     assert g1 != Pseudograph([1, 2, 3], [(1, 2, "a"), (1, 2, "b"), (1, 3, None)])
+
+
+def components_by_search(nodes, edges):
+    """Per node, the node set of its component, merged edge by edge."""
+    comp = {n: {n} for n in nodes}
+    for u, v, _ in edges:
+        if comp[u] is not comp[v]:
+            merged = comp[u] | comp[v]
+            for w in merged:
+                comp[w] = merged
+    return comp
+
+
+@settings(max_examples=150, deadline=None)
+@given(pseudographs())
+@example(Pseudograph())
+def test_ground_codec_and_adjacency_agree_with_the_edges(g):
+    """Disconnected and empty graphs included: bit i of a ground bitmask is
+    the i-th ground member and every subset comes back in ground order,
+    the pairing's bit indices decode to the partners worked out here for
+    both designations, and the adjacency readers, equality and hash agree
+    with what the edge list gives."""
+    edges, by_pair = g.edges, {}
+    for u, v, lab in edges:
+        by_pair.setdefault((u, v), []).append(lab)
+    bundles = {lab: (*pair, tuple(sorted(labs)))
+               for pair, labs in by_pair.items() if len(labs) > 1 for lab in labs}
+    ground = [*sorted(g.nodes), *sorted(bundles)]
+    assert list(g.ground_members()) == ground
+    assert [g._mask([m]) for m in ground] == [1 << i for i in range(len(ground))]
+    for r in range(len(ground) + 1):
+        for s in itertools.combinations(ground, r):
+            assert g._members(g._mask(reversed(s))) == list(s)
+
+    comp = components_by_search(g.nodes, edges)
+    for pick, d in ((max, Designation.default(g)), (min, Designation.first(g))):
+        partner = {n: pick(comp[n]) for n in g.nodes}
+        partner.update({lab: pick(b[2]) for lab, b in bundles.items()})
+        decoded = [(ground[m], ground[p]) for m, p in _pairing(g, d)]
+        assert decoded == [(m, partner[m]) for m in ground if partner[m] != m]
+
+    assert g.simple_pairs == set(by_pair)
+    for u in g.nodes:
+        near = {w for pair in by_pair if u in pair for w in pair if w != u}
+        assert g.neighbors(u) == near
+        assert [g.adjacent(u, v) for v in (*g.nodes, 99)] == [v in near for v in (*g.nodes, 99)]
+        with pytest.raises(UnknownMemberError):
+            g.bundle_of(u)
+    for lab, b in bundles.items():
+        assert g.bundle_of(lab) == b
+        with pytest.raises(UnknownNodeError):
+            g.neighbors(lab)
+    with pytest.raises(UnknownNodeError):
+        g.neighbors(99)
+
+    same = Pseudograph(g.nodes[::-1], edges[::-1])
+    assert same == g and hash(same) == hash(g)
+    assert g != Pseudograph([*g.nodes, 99], edges)
+    for k, (u, v, lab) in enumerate(edges):  # a label renamed, or a plain edge labelled
+        relabelled = [*edges[:k], (u, v, "z" + (lab or "")), *edges[k + 1:]]
+        assert g != Pseudograph(g.nodes, relabelled)
 
 
 def test_components():

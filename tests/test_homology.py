@@ -280,6 +280,14 @@ def test_shellable_unknown_when_budget_runs_out():
     assert rep.order is None
 
 
+@pytest.mark.parametrize("bad", [-1, 0, True, 2.5])
+def test_shellable_rejects_an_expansion_cap_that_is_no_count(bad):
+    """As a face budget is: a bool, a non-integer or a cap below 1 raises
+    before any search, where -1 used to report 'unknown' after one."""
+    with pytest.raises(ValueError, match="max_expansions"):
+        sphere(1).shellable(max_expansions=bad)
+
+
 def test_shellable_order_is_a_certificate():
     """Replay the returned order and re-verify the defining condition."""
     k = sphere(2)

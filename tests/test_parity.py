@@ -68,6 +68,18 @@ def test_even_enumeration_starts_empty_and_is_a_bijection(bundle_path4):
         )
 
 
+@pytest.mark.parametrize("bad", [True, False, -1, 1.0])
+def test_even_collection_at_rejects_an_index_that_is_no_count(bundle_path4, bad):
+    """True used to read as index 1, and -1 raised IndexError."""
+    with pytest.raises(ValueError, match="index"):
+        even_collection_at(bundle_path4, bad)
+
+
+def test_even_collection_at_past_the_count_is_out_of_range(bundle_path4):
+    with pytest.raises(IndexError):
+        even_collection_at(bundle_path4, even_collection_count(bundle_path4))
+
+
 # a designation that is neither the default nor Designation.first
 HAND_BUILT = {
     "bundle_path3": ({2}, {"b"}),
@@ -253,10 +265,10 @@ def test_verify_loop_helpers_match_the_touched_subgraph():
     the reduced graph and a per-tube parity test give."""
     for _, g in itertools.islice(_small_connected_family(), 0, None, 10):
         system = TubeSystem(g)
-        mask = system.member_mask
+        mask = g._mask
         for c in even_collections(g):
             sub = touched_subgraph(g, c)
-            cmask = system.collection_mask(c)
+            cmask = mask(c.members())
             nodes, kept = _reduction_key(g, cmask)
             met = [b for b in sub.bundles if set(b.labels) & c.labels]
             assert nodes == mask(sub.nodes)
@@ -268,7 +280,7 @@ def test_verify_loop_helpers_match_the_touched_subgraph():
                 )
                 for comp in sub.component_nodesets()
             ]
-            assert _shares(g, nodes, kept, cmask) == [system.collection_mask(p) for p in parts]
+            assert _shares(g, nodes, kept, cmask) == [mask(p.members()) for p in parts]
             evenstar = not any(s.bit_count() & 1 for s in _shares(g, nodes, kept, cmask))
             assert evenstar == is_admissible(reduced_graph(g, c), c) == components_all_even(g, c)
             collapsed = [(b.u, b.v) for b in sub.bundles if b not in met]

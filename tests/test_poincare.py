@@ -209,7 +209,7 @@ def test_cross_check_names_the_collection_a_check_fails_on(
     assert failure.check == check
     named = failure.collection
     if not isinstance(hit[0], Collection):
-        named = TubeSystem(bundle_tree5).collection_mask(named)
+        named = bundle_tree5._mask(named.members())
     assert named == hit[0]
     if check == "even-star" and sample is None:
         # both sides run once per collection, in index order
@@ -242,7 +242,7 @@ def test_cross_check_reports_each_check_failure(
     report = cross_check(bundle_tree5, checks=(check,))
     if collection is not None:
         collection = Collection(frozenset(collection), frozenset())
-        assert hit[0] in (collection, TubeSystem(bundle_tree5).collection_mask(collection))
+        assert hit[0] in (collection, bundle_tree5._mask(collection.members()))
     assert report.failures == (poincare.CheckFailure(check, collection, detail),)
     assert not report.ok and not report.sampled
     assert report.collections_checked == 128
@@ -355,6 +355,19 @@ def test_cross_check_builds_no_tube_system_for_checks_that_read_no_tube(
 def test_cross_check_rejects_unknown_names(bundle_path3):
     with pytest.raises(ValueError):
         cross_check(bundle_path3, checks=("routes", "bogus"))
+
+
+def test_cross_check_rejects_a_bare_string_of_checks(bundle_path3):
+    """A string is not split into letters: the error names the string."""
+    with pytest.raises(ValueError, match="'routes'"):
+        cross_check(bundle_path3, checks="routes")
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0])
+def test_cross_check_rejects_a_sample_that_is_no_count(bundle_path3, bad):
+    """True used to check one collection."""
+    with pytest.raises(ValueError, match="max_collections"):
+        cross_check(bundle_path3, max_collections=bad)
 
 
 @pytest.mark.parametrize("limit", [0, -1])

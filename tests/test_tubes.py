@@ -342,7 +342,7 @@ def test_complex_on_rejects_bad_indices():
 def test_bit_i_of_every_odd_complex_is_tube_i(system):
     tubes = system.tubes
     for c in even_collections(system.graph):
-        cmask = system.collection_mask(c)
+        cmask = system.graph._mask(c.members())
         k = odd_tube_complex(system.graph, c, system=system)
         odd = [i for i, rm in enumerate(system.repr_masks) if (rm & cmask).bit_count() & 1]
         assert k.vertices == tuple(tubes[i] for i in odd)
@@ -418,5 +418,5 @@ def test_system_masks_are_the_enumerated_tubes_in_order(g):
     tubes = enumerate_tubes(g, enumerated)
     assert built.used == enumerated.used == charged_by_definition(g)
     assert list(tubes) == sorted(tubes, key=Tube.sort_key)
-    assert system.repr_masks == [system.member_mask(t.representation()) for t in tubes]
+    assert system.repr_masks == [g._mask(t.representation()) for t in tubes]
     assert list(system.tubes) == list(tubes)
